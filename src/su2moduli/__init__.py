@@ -1,7 +1,8 @@
 """SU(2) character variety dynamics under the mapping class group.
 
 Modules:
-    su2           quaternion model of SU(2), surface groups, word evaluation
+    su2           quaternion model of SU(2), twist-word runner, surface groups,
+                  word evaluation
     exact         exact arithmetic over Q(sqrt2, sqrt5) for finite images
     tolerances    shared numeric tolerances and renormalization cadence
     classify      binary-polyhedral / Pin(2) / dense subgroup classification

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import classify, su2
 from .exact import (EXACT_IDENTITY, HALF, ONE, QFElement, R_CONST, S_CONST,
@@ -60,15 +60,6 @@ GENERATORS = {
 }
 
 GROUP_ORDER = {"T": 24, "C": 48, "D1": 120, "D2": 120, "D3": 120}
-
-#: admissible trace values for the unknown-element sweep, per group
-CASE_ALPHABET = {
-    "T": (ZERO, ONE, -ONE),
-    "C": (ZERO, ONE, -ONE, SQRT2, -SQRT2),
-    "D1": (ZERO, ONE, -ONE, 2 * R_CONST, -(2 * R_CONST), 2 * S_CONST, -(2 * S_CONST)),
-}
-CASE_ALPHABET["D2"] = CASE_ALPHABET["D1"]
-CASE_ALPHABET["D3"] = CASE_ALPHABET["D1"]
 
 _GROUP_CACHE: dict = {}
 
@@ -688,35 +679,3 @@ def verify_appendix_case(case_id: str) -> CaseReport:
 def verify_all_worked_cases() -> list[CaseReport]:
     return [verify_appendix_case(cid) for cid in WORKED_CASES]
 
-
-# ---------------------------------------------------------------------------
-# machine-generated sibling cases: all assignments of the three trace values
-# ---------------------------------------------------------------------------
-
-def sibling_cases(group: str):
-    """Yield (case_id, linear constraints) for every assignment of
-    (tr(A_iA_j), tr(A_iA_{g+i}A_j), tr(A_{g+i}A_j)) over the group alphabet."""
-    alpha = CASE_ALPHABET[group]
-    for v1 in alpha:
-        for v2 in alpha:
-            for v3 in alpha:
-                cid = f"{group}[{float(v1):+.3f},{float(v2):+.3f},{float(v3):+.3f}]"
-                yield cid, (LinearTrace("i", v1), LinearTrace("ig", v2),
-                            LinearTrace("g", v3))
-
-
-def sweep_sibling_cases(group: str, limit: Optional[int] = None) -> dict:
-    """Solve every sibling case; report the aggregate trichotomy
-    (plus 'inconclusive', which the artifact never silently absorbs)."""
-    counts = {"in_group": 0, "no_real_solutions": 0, "escape": 0, "inconclusive": 0}
-    per_case = {}
-    n = 0
-    for cid, lin in sibling_cases(group):
-        sols = solve_case_system(group, lin)
-        outcome, _, _ = decide_outcome(group, sols)
-        counts[outcome] += 1
-        per_case[cid] = outcome
-        n += 1
-        if limit is not None and n >= limit:
-            break
-    return {"group": group, "counts": counts, "cases": per_case}

@@ -11,13 +11,14 @@ multiset) fingerprints separate T / C / D from the binary dihedral family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import su2
 from .exact import ExactQuaternion
 from .su2 import Quaternion
 from .tolerances import DEFAULT, Tolerances
+from .torus_one import in_special_set, k_of
 
 Vec3 = tuple[float, float, float]
 
@@ -295,8 +296,7 @@ def one_holed_genericity_shortcut(x: float, y: float, z: float,
     """Cheap genericity test for a one-holed torus character: true iff
     k = x^2+y^2+z^2-xyz-2 avoids the special set (and +-2) and the point is
     not on the Pin(2) locus (a coordinate-axis point with k = c^2 - 2)."""
-    from .torus_one import in_special_set
-    k = x * x + y * y + z * z - x * y * z - 2.0
+    k = k_of((x, y, z))
     if in_special_set(k, tol) or abs(k - 2.0) <= tol or abs(k + 2.0) <= tol:
         return False
     # Pin(2) locus: two coordinates zero (then k = c^2-2 automatically on E_k)

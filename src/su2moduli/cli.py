@@ -19,7 +19,6 @@ from . import orbit_lab, sphere_four, torus_family, torus_one
 from .appendix import verify_all_worked_cases
 from .classify import classify_subgroup
 from .repfile import RepFileError, parse_repfile
-from .su2 import normalize, quat_mul, trace
 from .tolerances import DEFAULT
 from .torus_one import SteerFailure
 
@@ -229,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int)
         p.add_argument("--eps", type=float)
         p.add_argument("--out")
-        p.add_argument("--self-check", action="store_true")
 
     p = sub.add_parser("classify", help="subgroup classification of a rep")
     common(p)
@@ -239,6 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--chart", choices=("t1", "s4", "t2"))
     p.add_argument("--strategy", default="random", choices=("random", "bfs"))
+    p.add_argument("--self-check", action="store_true",
+                   help="verify the chart equation at every sampled point")
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("density", help="epsilon-density report for an orbit")

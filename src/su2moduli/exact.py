@@ -11,9 +11,12 @@ sqrt(-11+8*sqrt2), is checked numerically (see the design notes).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from . import su2
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT5 = math.sqrt(5.0)
@@ -162,6 +165,17 @@ class ExactQuaternion:
 
 
 EXACT_IDENTITY = ExactQuaternion.of(1, 0, 0, 0)
+
+#: exact walks never drift off unit norm, so renormalization is the identity
+EXACT_ARITHMETIC = su2.Arithmetic(operator.mul, ExactQuaternion.inverse,
+                                  lambda g: g, lambda g: float(g.trace()),
+                                  ExactQuaternion.key)
+
+
+def arithmetic_of(g) -> su2.Arithmetic:
+    """The arithmetic of walks on quaternions like g: exact for an
+    ExactQuaternion, float otherwise."""
+    return EXACT_ARITHMETIC if isinstance(g, ExactQuaternion) else su2.float_arithmetic()
 
 
 def exact_trace_form(prefix: ExactQuaternion) -> tuple[QFElement, QFElement, QFElement, QFElement]:

@@ -7,6 +7,7 @@ measurement in the box metric.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import math
@@ -14,36 +15,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import su2, torus_family, torus_one
+from . import sphere_four, torus_family, torus_one
 from .classify import classify_subgroup, one_holed_genericity_shortcut
-from .exact import ExactQuaternion
-from .sphere_four import (
-    Kappa4,
-    coords_of_rep4,
-    e_kappa_residual,
-    kappa_of_rep4,
-    twist_x4_matrices,
-    twist_x4_matrices_inv,
-    twist_y4_matrices,
-    twist_y4_matrices_inv,
-    twist_z4_matrices,
-    twist_z4_matrices_inv,
-)
+from .exact import arithmetic_of
+from .sphere_four import coords_of_rep4, e_kappa_residual, kappa_of_rep4
 from .su2 import (
-    FreeWord,
     Quaternion,
     SurfacePresentation,
     SurfaceRep,
+    apply_word,
     evaluate_word,
     from_axis_angle,
     normalize,
     quat_inv,
     quat_mul,
     random_su2,
+    run_word,
     trace,
     word,
 )
-from .tolerances import DEFAULT, RENORM_EVERY, Tolerances
 
 
 # ---------------------------------------------------------------------------
@@ -264,71 +254,10 @@ def random_genus2_rep(rng, max_tries: int = 1000) -> SurfaceRep:
 # charts for orbit sampling
 # ---------------------------------------------------------------------------
 
-def _t1_state(rep):
-    if isinstance(rep, SurfaceRep):
-        return (rep.images[0], rep.images[1])
-    X, Y = rep
-    return (X, Y)
-
-
-def _t1_move(state, letter):
-    X, Y = state
-    if isinstance(X, ExactQuaternion):
-        # exact path: finite-image orbits stay on their finite character
-        # set instead of drifting off it (the twist dynamics amplify
-        # rounding exponentially)
-        if letter == "X":
-            return (X, Y * X)
-        if letter == "X'":
-            return (X, Y * X.inverse())
-        if letter == "Y":
-            return (X * Y, Y)
-        if letter == "Y'":
-            return (X * Y.inverse(), Y)
-        raise ValueError(f"unknown twist letter {letter}")
-    if letter == "X":
-        return (X, quat_mul(Y, X))
-    if letter == "X'":
-        return (X, quat_mul(Y, quat_inv(X)))
-    if letter == "Y":
-        return (quat_mul(X, Y), Y)
-    if letter == "Y'":
-        return (quat_mul(X, quat_inv(Y)), Y)
-    raise ValueError(f"unknown twist letter {letter}")
-
-
-def _t1_coords(state):
-    X, Y = state
-    if isinstance(X, ExactQuaternion):
-        return (float(X.trace()), float(Y.trace()), float((X * Y).trace()))
-    return torus_one.coords_of_matrices(X, Y)
-
-
-def _t1_renorm(state):
-    X, Y = state
-    if isinstance(X, ExactQuaternion):
-        return state
-    return (normalize(X), normalize(Y))
-
-
-def _t1_key(state):
-    X, Y = state
-    if isinstance(X, ExactQuaternion):
-        return (X.key(), Y.key())
-    return None
-
-
-def _s4_state(rep):
-    if isinstance(rep, SurfaceRep):
-        return tuple(rep.images[:4])
-    return tuple(rep)
-
-
-_S4_MOVES = {
-    "X": twist_x4_matrices, "X'": twist_x4_matrices_inv,
-    "Y": twist_y4_matrices, "Y'": twist_y4_matrices_inv,
-    "Z": twist_z4_matrices, "Z'": twist_z4_matrices_inv,
-}
+def _leading_images(n: int):
+    """rep -> state: the first n images of a SurfaceRep, or the given tuple."""
+    return lambda rep: (tuple(rep.images[:n]) if isinstance(rep, SurfaceRep)
+                        else tuple(rep))
 
 
 def _t2_state(rep):
@@ -336,59 +265,48 @@ def _t2_state(rep):
         return rep
     if isinstance(rep, SurfaceRep):
         # relation [A1,A2] A3 A4 = 1 gives A3 A4 = A2 A1 A2^-1 A1^-1 = K
-        return torus_family.T2Rep(rep.images[0], rep.images[1],
-                                  rep.images[2], rep.images[3]).validate()
+        return torus_family.T2Rep(*rep.images[:4]).validate()
     raise TypeError("t2 chart needs a T2Rep or a (1,2) SurfaceRep")
 
 
-def _t2_coords(rep):
+def _t2_coords(rep, q):
     p = torus_family.coords_of_rep_t2(rep)
     return (p.a, p.b, p.x, p.y, p.k, p.w, p.wp)
 
 
 @dataclass(frozen=True)
 class _Chart:
-    letters: tuple
+    moves: dict        # letter -> move (state, arithmetic) -> state
     names: tuple
-    init: object
-    move: object
-    coords: object
-    renorm: object
-    meta: object       # state -> dict of orbit invariants
-    residual: object   # (coords tuple, meta) -> chart-equation residual
-    key: object = staticmethod(lambda s: None)  # hashable key for exact states
+    init: object       # rep -> state, a tuple of quaternions
+    coords: object     # (state, arithmetic) -> chart point
+    meta: object       # (state, arithmetic) -> dict of orbit invariants
+    residual: object   # (chart point, meta) -> chart-equation residual
 
 
 _CHARTS = {
     "t1": _Chart(
-        letters=("X", "X'", "Y", "Y'"),
+        moves=torus_one.MOVES,
         names=("x", "y", "z"),
-        init=_t1_state,
-        move=_t1_move,
-        coords=_t1_coords,
-        renorm=_t1_renorm,
-        meta=lambda s: {"k": torus_one.k_of(_t1_coords(s))},
+        init=_leading_images(2),
+        coords=lambda s, q: torus_one.coords_of_matrices(s[0], s[1], q),
+        meta=lambda s, q: {"k": torus_one.k_of(torus_one.coords_of_matrices(*s, q))},
         residual=lambda p, m: abs(torus_one.k_of(p) - m["k"]),
-        key=_t1_key,
     ),
     "s4": _Chart(
-        letters=("X", "X'", "Y", "Y'", "Z", "Z'"),
+        moves=sphere_four.MOVES,
         names=("x", "y", "z"),
-        init=_s4_state,
-        move=lambda s, letter: _S4_MOVES[letter](s),
-        coords=coords_of_rep4,
-        renorm=lambda s: tuple(normalize(g) for g in s),
-        meta=lambda s: {"kappa": kappa_of_rep4(s)},
+        init=_leading_images(4),
+        coords=lambda s, q: coords_of_rep4(s),
+        meta=lambda s, q: {"kappa": kappa_of_rep4(s)},
         residual=lambda p, m: abs(e_kappa_residual(m["kappa"], p)),
     ),
     "t2": _Chart(
-        letters=torus_family.TWIST_LETTERS_T2,
+        moves=torus_family.MOVES,
         names=("a", "b", "x", "y", "k", "w", "wp"),
         init=_t2_state,
-        move=lambda s, letter: torus_family._MATRIX_MOVES[letter](s),
         coords=_t2_coords,
-        renorm=lambda s: s.normalized(),
-        meta=lambda s: {},
+        meta=lambda s, q: {},
         residual=lambda p, m: abs(torus_family.t2_residual(
             torus_family.T2Point(*p))),
     ),
@@ -413,8 +331,10 @@ def _compact_word(letters) -> str:
 class OrbitSample:
     """Chart coordinates recorded along a twist walk.
 
-    points[i] is the chart tuple after the first i letters of `steps`
-    (random walk) or after the word steps[i] (bfs).
+    Random walk: shard j records rows from shard_rows[j] on, the start
+    point and then the point after each of its letters; `steps` holds the
+    shards' letters in shard order.  bfs: points[i] is the chart tuple after
+    the word steps[i].
     """
 
     chart: str
@@ -423,6 +343,7 @@ class OrbitSample:
     strategy: str
     seed: int
     meta: dict = field(default_factory=dict)
+    shard_rows: tuple = (0,)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -430,7 +351,10 @@ class OrbitSample:
     def word_for(self, i: int) -> str:
         if self.strategy == "bfs":
             return _compact_word(self.steps[i])
-        return _compact_word(self.steps[:i])
+        # shard j has one letter fewer than rows, so its letters start at
+        # step shard_rows[j] - j
+        j = bisect.bisect_right(self.shard_rows, i) - 1
+        return _compact_word(self.steps[self.shard_rows[j] - j:i - j])
 
     def word_stats(self) -> dict:
         flat = (itertools.chain.from_iterable(self.steps)
@@ -456,8 +380,7 @@ def _merge_seed(seed: int, shard: int) -> np.random.Generator:
 
 
 def orbit_sample(rep, chart: str, twists=None, strategy: str = "random",
-                 budget: int = 1000, seed: int = 0, shards: int = 1,
-                 *, tol: Tolerances = DEFAULT) -> OrbitSample:
+                 budget: int = 1000, seed: int = 0, shards: int = 1) -> OrbitSample:
     """Sample an orbit at matrix level: record `budget` chart points, the
     first being the starting character.
 
@@ -465,33 +388,37 @@ def orbit_sample(rep, chart: str, twists=None, strategy: str = "random",
     "bfs": all words in breadth-first order until the budget is reached.
     Deterministic per (seed, shards); shards split the walk into budget/shards
     independent sub-walks from the same start, merged in shard order.
+    Exact (ExactQuaternion) states are walked exactly.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if not 1 <= shards <= budget:
+        raise ValueError("shards must lie between 1 and the budget")
     try:
         ch = _CHARTS[chart]
     except KeyError:
         raise ValueError(f"unknown chart {chart!r}") from None
-    letters = tuple(twists) if twists is not None else ch.letters
+    letters = tuple(twists if twists is not None else ch.moves)
     for s in letters:
-        if s not in ch.letters:
+        if s not in ch.moves:
             raise ValueError(f"twist {s!r} invalid for chart {chart!r}")
     start = ch.init(rep)
-    meta = ch.meta(start)
+    q = arithmetic_of(start[0])
+    meta = ch.meta(start, q)
 
     if strategy == "bfs":
-        states = [((), start)]
-        points, words = [ch.coords(start)], [()]
-        frontier = states
+        # every node is renormalized: it is one letter past its parent
+        points, words = [ch.coords(start, q)], [()]
+        frontier = [((), start)]
         while len(points) < budget:
             nxt = []
             for w, st in frontier:
                 for s in letters:
                     if len(points) >= budget:
                         break
-                    st2 = ch.renorm(ch.move(st, s))
+                    st2 = apply_word(st, (s,), ch.moves, q)
                     nxt.append((w + (s,), st2))
-                    points.append(ch.coords(st2))
+                    points.append(ch.coords(st2, q))
                     words.append(w + (s,))
             frontier = nxt
         return OrbitSample(chart, np.array(points), words, "bfs", seed, meta)
@@ -503,46 +430,39 @@ def orbit_sample(rep, chart: str, twists=None, strategy: str = "random",
     per[0] += budget - sum(per)
     points = np.empty((budget, len(ch.names)))
     steps: list = []
+    shard_rows: list = []
     # exact states revisit themselves on finite orbits; memoize transitions,
     # interning states as small ints so the hot loop never hashes deep keys
     ids: dict = {}
     cache: dict = {}
 
     def intern(st):
-        k = ch.key(st)
-        if k is None:
-            return None
-        return ids.setdefault(k, len(ids))
+        return ids.setdefault(tuple(map(q.key, st)), len(ids))
 
     row = 0
     for shard, quota in enumerate(per):
         rng = _merge_seed(seed, shard)
         picks = rng.integers(0, len(letters), size=max(quota - 1, 0))
-        state = start
-        p0 = ch.coords(state)
-        points[row] = p0
+        walk = [letters[i] for i in picks]
+        shard_rows.append(row)
+        points[row] = ch.coords(start, q)
         row += 1
-        sid = intern(state)
-        for n, pick in enumerate(picks, start=1):
-            s = letters[pick]
-            if sid is not None:
+        if q.key is None:
+            for state in run_word(start, walk, ch.moves, q):
+                points[row] = ch.coords(state, q)
+                row += 1
+        else:
+            state, sid = start, intern(start)
+            for s in walk:
                 nxt = cache.get((sid, s))
                 if nxt is None:
-                    src = sid
-                    state = ch.move(state, s)
-                    p0, sid = ch.coords(state), intern(state)
-                    cache[(src, s)] = (state, p0, sid)
-                else:
-                    state, p0, sid = nxt
-            else:
-                state = ch.move(state, s)
-                if n % RENORM_EVERY == 0:
-                    state = ch.renorm(state)
-                p0 = ch.coords(state)
-            steps.append(s)
-            points[row] = p0
-            row += 1
-    return OrbitSample(chart, points, steps, "random", seed, meta)
+                    state, = run_word(state, (s,), ch.moves, q)
+                    nxt = cache[(sid, s)] = (state, ch.coords(state, q), intern(state))
+                state, p0, sid = nxt
+                points[row] = p0
+                row += 1
+        steps += walk
+    return OrbitSample(chart, points, steps, "random", seed, meta, tuple(shard_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -574,24 +494,13 @@ class DensityReport:
 
 
 def _default_surface(sample: OrbitSample):
+    """The chart polynomial of the sample's level set, on arrays (..., 3)."""
     if sample.chart == "t1":
         k0 = sample.meta["k"]
-
-        def f(p):
-            x, y, z = p[..., 0], p[..., 1], p[..., 2]
-            return x * x + y * y + z * z - x * y * z - 2.0 - k0
-        return f
+        return lambda p: torus_one.k_of(np.moveaxis(p, -1, 0)) - k0
     if sample.chart == "s4":
-        kap = sample.meta["kappa"]
-
-        def f(p):
-            x, y, z = p[..., 0], p[..., 1], p[..., 2]
-            a, b, c, d = kap.as_tuple()
-            return (x * x + y * y + z * z + x * y * z
-                    - (a * b + c * d) * x - (b * c + a * d) * y
-                    - (a * c + b * d) * z
-                    - 4.0 + a * a + b * b + c * c + d * d + a * b * c * d)
-        return f
+        kappa = sample.meta["kappa"]
+        return lambda p: e_kappa_residual(kappa, np.moveaxis(p, -1, 0))
     return None
 
 

@@ -18,7 +18,7 @@ disagree with this by a typo'd denominator and a factor 2 respectively; the
 forms above vanish identically on matrix-generated characters.)
 
 The twist tau_X rotates each fibre rigidly by 2*arccos(x/2); matrix-level
-conventions are in the twist functions below.
+conventions are in the move table MOVES below.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .su2 import Quaternion, normalize, quat_conj, quat_inv, quat_mul, trace
+from .su2 import Quaternion, quat_mul, trace
 
 #: crude box-metric bound on the circumference of any fibre ellipse in [-2,2]^3
 L_MAX = 16.0
@@ -128,44 +128,31 @@ def tau_z4_inv(kappa: Kappa4, p: T4Point) -> T4Point:
 Rep4 = tuple[Quaternion, Quaternion, Quaternion, Quaternion]
 
 
-def twist_x4_matrices(rep: Rep4) -> Rep4:
-    # conjugators are normalized because quat_inv assumes unit norm;
-    # otherwise rounding drift compounds geometrically along long walks
-    A, B, C, D = rep
-    X = normalize(quat_mul(A, B))
-    return (A, B, quat_conj(X, C), quat_conj(X, D))
+def _twist_x4(s: Rep4, q, e: int) -> Rep4:
+    A, B, C, D = s
+    X = q.pivot(q.mul(A, B), e)
+    return (A, B, q.conj(X, C), q.conj(X, D))
 
 
-def twist_y4_matrices(rep: Rep4) -> Rep4:
-    A, B, C, D = rep
-    Y = normalize(quat_mul(B, C))
-    return (quat_conj(Y, A), B, C, quat_conj(Y, D))
+def _twist_y4(s: Rep4, q, e: int) -> Rep4:
+    A, B, C, D = s
+    Y = q.pivot(q.mul(B, C), e)
+    return (q.conj(Y, A), B, C, q.conj(Y, D))
 
 
-def twist_z4_matrices(rep: Rep4) -> Rep4:
-    A, B, C, D = rep
-    Z = normalize(quat_mul(C, A))
-    AC = normalize(quat_mul(A, C))
-    return (A, quat_conj(Z, B), C, quat_conj(AC, D))
+def _twist_z4(s: Rep4, q, e: int) -> Rep4:
+    A, B, C, D = s
+    return (A, q.conj(q.pivot(q.mul(C, A), e), B), C,
+            q.conj(q.pivot(q.mul(A, C), e), D))
 
 
-def twist_x4_matrices_inv(rep: Rep4) -> Rep4:
-    A, B, C, D = rep
-    Xi = quat_inv(normalize(quat_mul(A, B)))
-    return (A, B, quat_conj(Xi, C), quat_conj(Xi, D))
-
-
-def twist_y4_matrices_inv(rep: Rep4) -> Rep4:
-    A, B, C, D = rep
-    Yi = quat_inv(normalize(quat_mul(B, C)))
-    return (quat_conj(Yi, A), B, C, quat_conj(Yi, D))
-
-
-def twist_z4_matrices_inv(rep: Rep4) -> Rep4:
-    A, B, C, D = rep
-    Zi = quat_inv(normalize(quat_mul(C, A)))
-    ACi = quat_inv(normalize(quat_mul(A, C)))
-    return (A, quat_conj(Zi, B), C, quat_conj(ACi, D))
+#: matrix-level twists in the walk's arithmetic q; a primed letter is the
+#: inverse twist
+MOVES = {
+    "X": lambda s, q: _twist_x4(s, q, 1), "X'": lambda s, q: _twist_x4(s, q, -1),
+    "Y": lambda s, q: _twist_y4(s, q, 1), "Y'": lambda s, q: _twist_y4(s, q, -1),
+    "Z": lambda s, q: _twist_z4(s, q, 1), "Z'": lambda s, q: _twist_z4(s, q, -1),
+}
 
 
 def coords_of_rep4(rep: Rep4) -> T4Point:

@@ -1,4 +1,5 @@
-"""Unit-quaternion SU(2) arithmetic, free words, surface presentations.
+"""Unit-quaternion SU(2) arithmetic, twist-word walks, free words, surface
+presentations.
 
 Convention: q = (w, x, y, z) corresponds to the 2x2 matrix
 
@@ -16,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT, RENORM_EVERY, Tolerances
 
 Quaternion = tuple[float, float, float, float]
 
@@ -41,15 +42,6 @@ def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
 def quat_inv(a: Quaternion) -> Quaternion:
     """Inverse of a unit quaternion (= conjugate)."""
     return (a[0], -a[1], -a[2], -a[3])
-
-
-def quat_conj(g: Quaternion, h: Quaternion) -> Quaternion:
-    """g h g^-1."""
-    return quat_mul(quat_mul(g, h), quat_inv(g))
-
-
-def quat_neg(a: Quaternion) -> Quaternion:
-    return (-a[0], -a[1], -a[2], -a[3])
 
 
 def norm(a: Quaternion) -> float:
@@ -89,11 +81,6 @@ def from_axis_angle(n: Sequence[float], theta: float) -> Quaternion:
     return (math.cos(theta), s * n[0], s * n[1], s * n[2])
 
 
-def trace_product_identity_check(a: Quaternion, b: Quaternion) -> float:
-    """Residual of tr(AB^-1) + tr(AB) - tr(A) tr(B); zero for all SU(2) pairs."""
-    return trace(quat_mul(a, quat_inv(b))) + trace(quat_mul(a, b)) - trace(a) * trace(b)
-
-
 def random_su2(rng) -> Quaternion:
     """Haar-uniform SU(2) element. `rng` is a numpy Generator or an int seed."""
     if isinstance(rng, (int, np.integer)):
@@ -104,6 +91,68 @@ def random_su2(rng) -> Quaternion:
         v = rng.normal(size=4)
         n = float(np.linalg.norm(v))
     return (v[0] / n, v[1] / n, v[2] / n, v[3] / n)
+
+
+# ---------------------------------------------------------------------------
+# twist-word walks
+# ---------------------------------------------------------------------------
+
+class Arithmetic(NamedTuple):
+    """The quaternion operations of one walk, chosen once per walk.
+
+    `unit` renormalizes (the identity on exact quaternions), `trace` returns
+    a float, and `key` maps an exact quaternion to a hashable key for
+    memoized walks; it is None for floats, whose walks are not memoized.
+    """
+
+    mul: Callable
+    inv: Callable
+    unit: Callable
+    trace: Callable
+    key: Optional[Callable]
+
+    def conj(self, g, h):
+        """g h g^-1."""
+        return self.mul(self.mul(g, h), self.inv(g))
+
+    def pivot(self, g, e: int):
+        """g normalized, and inverted when e < 0.  Conjugators are
+        normalized because `inv` assumes unit norm; otherwise rounding
+        drift compounds geometrically along long walks."""
+        g = self.unit(g)
+        return g if e > 0 else self.inv(g)
+
+
+def float_arithmetic() -> Arithmetic:
+    """Float arithmetic, built from this module's functions at call time,
+    so that wrappers installed on them (as by a tracer) are called."""
+    return Arithmetic(quat_mul, quat_inv, normalize, trace, None)
+
+
+def run_word(state: tuple, word, moves: dict, q: Arithmetic, start: int = 0):
+    """Yield the state after each letter of a twist word.
+
+    `moves` maps a letter to a move (state, q) -> state on a tuple of
+    quaternions.  Every quaternion of the state is renormalized after letter
+    n when n % RENORM_EVERY == 0, counting the `start` letters applied
+    before, so a word walked in pieces gives the states of the whole word.
+    """
+    for n, letter in enumerate(word, start + 1):
+        try:
+            move = moves[letter]
+        except KeyError:
+            raise ValueError(f"unknown twist letter {letter}") from None
+        state = move(state, q)
+        if n % RENORM_EVERY == 0:
+            state = tuple(map(q.unit, state))
+        yield state
+
+
+def apply_word(state: tuple, word, moves: dict, q: Arithmetic) -> tuple:
+    """The state after a whole twist word (run_word), renormalized."""
+    for state in run_word(state, word, moves, q):
+        pass
+    return tuple(map(q.unit, state))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +216,11 @@ class SurfaceRep:
     def __post_init__(self):
         if len(self.images) != self.presentation.num_generators:
             raise ValueError("wrong number of generator images")
+        for i, g in enumerate(self.images, start=1):
+            n = norm(g)
+            if abs(n - 1.0) > self.tol.norm:
+                raise ValueError(f"generator {i} is not a unit quaternion: "
+                                 f"norm {n:.12g}")
         r = self.relation_residual()
         if r > self.tol.relation:
             raise ValueError(f"surface relation violated: residual {r:.3g}")

@@ -12,15 +12,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    norm: float = 1e-12
+    norm: float = 1e-12         # |norm - 1| of input generator images
     identity: float = 1e-10
     relation: float = 1e-9
     cluster: float = 1e-9       # float-path finite closure clustering
-    exact_check: float = 1e-12  # residuals of transcribed exact values
     chart: float = 1e-8         # chart equations along long orbits
 
 
 DEFAULT = Tolerances()
 
-#: renormalize representations after this many quaternion products
+#: renormalize walked states after this many twist letters
 RENORM_EVERY = 8

@@ -10,7 +10,8 @@ boundary traces a = tr A, b = tr B.  Cutting along X exhibits the cut
 surface as a four-holed sphere on (A, B, X, Y X^-1 Y^-1) with
 kappa = (a, b, x, x) and sphere coordinates (k, w', w); the three twists
 tau_K / tau_W / tau_W' below are the sphere twists tau_x4 / tau_y4 / tau_z4
-in that chart.
+in that chart.  The matrix-level twists, handle letters included, form
+the move table MOVES.
 
 The module also exposes the exceptional-locus predicates of the two- and
 three-holed torus analyses (eq0/e1/e2 and c1..c6.5) and the steering
@@ -18,16 +19,15 @@ procedure steer_t2 that realizes the density argument at desk scale.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Sequence
 
-from . import su2
+from . import su2, torus_one
 from .su2 import Quaternion, quat_inv, quat_mul, trace
 from .classify import classify_subgroup, one_holed_genericity_shortcut
 from .sphere_four import delta_inband, trace_interval
-from .tolerances import DEFAULT, RENORM_EVERY, Tolerances
-from .torus_one import SPECIAL_SET, SteerFailure, in_special_set, steer_t1
+from .tolerances import DEFAULT, Tolerances
+from .torus_one import SteerFailure, greedy_search, in_special_set
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ def tau_wp_inv(p: T2Point) -> T2Point:
 # matrix-level representation and twists
 # ---------------------------------------------------------------------------
 
-@dataclass
-class T2Rep:
+class T2Rep(NamedTuple):
     """Images (X, Y, A, B) with A B = Y X Y^-1 X^-1 (up to sign)."""
     X: Quaternion
     Y: Quaternion
@@ -122,112 +121,60 @@ class T2Rep:
             raise ValueError("two-holed torus relation violated")
         return self
 
-    def normalized(self) -> "T2Rep":
-        return T2Rep(*(su2.normalize(g) for g in (self.X, self.Y, self.A, self.B)))
 
-
-def coords_of_rep_t2(rep: T2Rep) -> T2Point:
-    K = quat_mul(rep.A, rep.B)
+def coords_of_rep_t2(rep) -> T2Point:
+    """Chart point of a T2Rep or of any tuple (X, Y, A, B)."""
+    X, Y, A, B = rep
+    K = quat_mul(A, B)
     return T2Point(
-        a=trace(rep.A), b=trace(rep.B),
-        x=trace(rep.X), y=trace(rep.Y), k=trace(K),
-        w=trace(quat_mul(rep.A, rep.X)),
-        wp=trace(quat_mul(rep.X, rep.B)),
+        a=trace(A), b=trace(B),
+        x=trace(X), y=trace(Y), k=trace(K),
+        w=trace(quat_mul(A, X)),
+        wp=trace(quat_mul(X, B)),
     )
 
 
-def twist_k_matrices(rep: T2Rep) -> T2Rep:
-    # quat_inv assumes unit norm, so the conjugator K = AB must be
-    # normalized or rounding drift compounds as |A|^3 |B|^2 per step
-    K = su2.normalize(quat_mul(rep.A, rep.B))
-    return T2Rep(rep.X, rep.Y,
-                 su2.quat_conj(K, rep.A), su2.quat_conj(K, rep.B))
+def _twist_k(s, q, e: int):
+    """Twist along K = AB: moves (w, w'), fixes x, y, k, a, b."""
+    X, Y, A, B = s
+    K = q.pivot(q.mul(A, B), e)
+    return (X, Y, q.conj(K, A), q.conj(K, B))
 
 
-def twist_k_matrices_inv(rep: T2Rep) -> T2Rep:
-    Ki = quat_inv(su2.normalize(quat_mul(rep.A, rep.B)))
-    return T2Rep(rep.X, rep.Y,
-                 su2.quat_conj(Ki, rep.A), su2.quat_conj(Ki, rep.B))
-
-
-def twist_w_matrices(rep: T2Rep) -> T2Rep:
+def _twist_w(s, q, e: int):
     """Twist along W = AX: moves (w', k), fixes x, w, a, b."""
-    XA = su2.normalize(quat_mul(rep.X, rep.A))
-    AX = su2.normalize(quat_mul(rep.A, rep.X))
-    return T2Rep(rep.X,
-                 quat_mul(quat_inv(AX), rep.Y),
-                 rep.A,
-                 su2.quat_conj(quat_inv(XA), rep.B))
+    X, Y, A, B = s
+    return (X, q.mul(q.pivot(q.mul(A, X), -e), Y), A,
+            q.conj(q.pivot(q.mul(X, A), -e), B))
 
 
-def twist_w_matrices_inv(rep: T2Rep) -> T2Rep:
-    XA = su2.normalize(quat_mul(rep.X, rep.A))
-    AX = su2.normalize(quat_mul(rep.A, rep.X))
-    return T2Rep(rep.X,
-                 quat_mul(AX, rep.Y),
-                 rep.A,
-                 su2.quat_conj(XA, rep.B))
-
-
-def twist_wp_matrices(rep: T2Rep) -> T2Rep:
+def _twist_wp(s, q, e: int):
     """Twist along W' = XB: moves (k, w), fixes x, w', a, b."""
-    BX = su2.normalize(quat_mul(rep.B, rep.X))
-    return T2Rep(rep.X,
-                 quat_mul(quat_inv(BX), rep.Y),
-                 su2.quat_conj(quat_inv(BX), rep.A),
-                 rep.B)
+    X, Y, A, B = s
+    BX = q.pivot(q.mul(B, X), -e)
+    return (X, q.mul(BX, Y), q.conj(BX, A), B)
 
 
-def twist_wp_matrices_inv(rep: T2Rep) -> T2Rep:
-    BX = su2.normalize(quat_mul(rep.B, rep.X))
-    return T2Rep(rep.X,
-                 quat_mul(BX, rep.Y),
-                 su2.quat_conj(BX, rep.A),
-                 rep.B)
+def _on_handle(move):
+    """A handle twist of torus_one acting on (X, Y); fixes x or y, k, a, b."""
+    return lambda s, q: move(s[:2], q) + s[2:]
 
 
-def twist_x_matrices_t2(rep: T2Rep) -> T2Rep:
-    """Handle twist tau_X (Y -> YX); fixes x, k, a, b, w."""
-    return T2Rep(rep.X, quat_mul(rep.Y, rep.X), rep.A, rep.B)
-
-
-def twist_x_matrices_t2_inv(rep: T2Rep) -> T2Rep:
-    return T2Rep(rep.X, quat_mul(rep.Y, quat_inv(rep.X)), rep.A, rep.B)
-
-
-def twist_y_matrices_t2(rep: T2Rep) -> T2Rep:
-    """Handle twist tau_Y (X -> XY); fixes y, k, a, b."""
-    return T2Rep(quat_mul(rep.X, rep.Y), rep.Y, rep.A, rep.B)
-
-
-def twist_y_matrices_t2_inv(rep: T2Rep) -> T2Rep:
-    return T2Rep(quat_mul(rep.X, quat_inv(rep.Y)), rep.Y, rep.A, rep.B)
-
-
-_MATRIX_MOVES = {
-    "X": twist_x_matrices_t2, "X'": twist_x_matrices_t2_inv,
-    "Y": twist_y_matrices_t2, "Y'": twist_y_matrices_t2_inv,
-    "K": twist_k_matrices, "K'": twist_k_matrices_inv,
-    "W": twist_w_matrices, "W'": twist_w_matrices_inv,
-    "V": twist_wp_matrices, "V'": twist_wp_matrices_inv,
+#: matrix-level twists of (X, Y, A, B) in the walk's arithmetic q: the
+#: handle twists X/Y, and K/W/V for tau_K/tau_W/tau_W' (the letter W'
+#: would collide with the inverse marker)
+MOVES = {
+    **{letter: _on_handle(move) for letter, move in torus_one.MOVES.items()},
+    "K": lambda s, q: _twist_k(s, q, 1), "K'": lambda s, q: _twist_k(s, q, -1),
+    "W": lambda s, q: _twist_w(s, q, 1), "W'": lambda s, q: _twist_w(s, q, -1),
+    "V": lambda s, q: _twist_wp(s, q, 1), "V'": lambda s, q: _twist_wp(s, q, -1),
 }
 
-#: twist-letter alphabet: X/Y handle twists, K/W boundary-chart twists,
-#: V is the tau_W' twist (letter W' would collide with the inverse marker)
-TWIST_LETTERS_T2 = tuple(_MATRIX_MOVES)
+TWIST_LETTERS_T2 = tuple(MOVES)
 
 
 def apply_twist_word_t2(rep: T2Rep, word: Sequence[str]) -> T2Rep:
-    count = 0
-    for letter in word:
-        try:
-            rep = _MATRIX_MOVES[letter](rep)
-        except KeyError:
-            raise ValueError(f"unknown twist letter {letter}") from None
-        count += 1
-        if count % RENORM_EVERY == 0:
-            rep = rep.normalized()
-    return rep.normalized()
+    return T2Rep(*su2.apply_word(rep, word, MOVES, su2.float_arithmetic()))
 
 
 # ---------------------------------------------------------------------------
@@ -323,60 +270,6 @@ def exceptional_report_t3(coords, tol: float = 1e-9) -> ExceptionalReport:
 # steering
 # ---------------------------------------------------------------------------
 
-def _cycle_best_rep(rep: T2Rep, letter: str, objective, max_steps: int):
-    """Greedy best-of-cycle for a single twist letter at matrix level."""
-    best_val = objective(coords_of_rep_t2(rep))
-    best_n, best_rep = 0, rep
-    cur = rep
-    for n in range(1, max_steps + 1):
-        cur = _MATRIX_MOVES[letter](cur)
-        if n % RENORM_EVERY == 0:
-            cur = cur.normalized()
-        v = objective(coords_of_rep_t2(cur))
-        if v < best_val - 1e-15:
-            best_val, best_n, best_rep = v, n, cur
-    return [letter] * best_n, best_rep.normalized(), best_val
-
-
-def _greedy_phase(rep: T2Rep, letters, objective, goal: float,
-                  budget: int, cycle_cap: int = 400,
-                  kicks: tuple = ("K", "W", "Y")):
-    """Alternate best-of-cycle over `letters` until objective < goal.
-
-    Returns (word, rep, spent); raises SteerFailure on budget exhaustion.
-    """
-    word: list[str] = []
-    spent = 0
-    cur = rep
-    val = objective(coords_of_rep_t2(cur))
-    stall = 0
-    li = 0
-    while val >= goal:
-        if spent >= budget:
-            raise SteerFailure("steer_t2 phase budget exhausted", budget)
-        steps = min(cycle_cap, budget - spent)
-        w, nxt, nval = _cycle_best_rep(cur, letters[li % len(letters)],
-                                       objective, steps)
-        spent += steps
-        if nval < val - 1e-12:
-            word += w
-            cur, val = nxt, nval
-            stall = 0
-        else:
-            stall += 1
-        li += 1
-        if stall >= 2 * len(letters):
-            # deterministic kick off the stalled fibre; callers restrict
-            # the kick alphabet to letters that fix already-settled coords
-            for kick in kicks:
-                cur = _MATRIX_MOVES[kick](cur).normalized()
-                word.append(kick)
-                spent += 1
-            val = objective(coords_of_rep_t2(cur))
-            stall = 0
-    return word, cur, spent
-
-
 def steer_t2(rep: T2Rep, targets: tuple, eps: float, budget: int,
              *, tol: Tolerances = DEFAULT) -> tuple[list[str], T2Rep]:
     """Move (x, k) of a generic two-holed torus rep within eps of targets.
@@ -388,8 +281,10 @@ def steer_t2(rep: T2Rep, targets: tuple, eps: float, budget: int,
     (iv) handle twists (which fix k) bring x within eps of x0, keeping
     the handle generic (k outside the special set and k != x^2 - 2).
 
-    Returns (twist word, final rep); raises SteerFailure when the budget
-    runs out and ValueError on a non-generic input.
+    Returns (twist word, final rep), with |x - x0| < eps and |k - k0| < eps
+    verified on the final rep, which apply_twist_word_t2(rep, word)
+    reproduces exactly; raises SteerFailure when the budget runs out and
+    ValueError on a non-generic input.
     """
     x0, k0 = targets
     p = coords_of_rep_t2(rep)
@@ -404,39 +299,10 @@ def steer_t2(rep: T2Rep, targets: tuple, eps: float, budget: int,
 
     if abs(p.x - x0) < eps and abs(p.k - k0) < eps \
             and not in_special_set(p.k) and abs(p.k - (p.x ** 2 - 2.0)) > 1e-9:
-        return [], rep
+        return [], apply_twist_word_t2(rep, [])
 
     delta = delta_inband(p.a, p.b, eps / 2.0)
-    word: list[str] = []
-    spent = 0
 
-    # (i) |x| <= delta/2, k fixed by the handle twists
-    w1, rep, s1 = _greedy_phase(
-        rep, ("Y", "X", "Y'", "X'"),
-        lambda q: abs(q.x), delta / 2.0, budget - spent,
-        kicks=("Y", "X"))
-    word += w1
-    spent += s1
-
-    # (ii) w near zero so the k-range of the w-fibre is maximal
-    w2, rep, s2 = _greedy_phase(
-        rep, ("K", "K'"),
-        lambda q: abs(q.w), delta, budget - spent,
-        kicks=("W",))
-    word += w2
-    spent += s2
-
-    # (iii) k within eps/2 of k0; tau_W moves k on the w-fibre, tau_W'
-    # is the proof's fallback when tau_W stalls at a fixed point
-    w3, rep, s3 = _greedy_phase(
-        rep, ("W", "W'", "V", "V'", "K"),
-        lambda q: abs(q.k - k0), eps / 2.0, budget - spent,
-        kicks=("K",))
-    word += w3
-    spent += s3
-
-    # (iv) x within eps of x0 via the handle (k frozen), avoiding the
-    # one-holed degeneracies of the final point
     def handle_obj(q: T2Point) -> float:
         penalty = 0.0
         if in_special_set(q.k, 10.0 * tol.identity):
@@ -445,15 +311,38 @@ def steer_t2(rep: T2Rep, targets: tuple, eps: float, budget: int,
             penalty = 1.0
         return abs(q.x - x0) + penalty
 
-    w4, rep, s4 = _greedy_phase(
-        rep, ("Y", "X", "Y'", "X'"),
-        handle_obj, eps, budget - spent,
-        kicks=("Y", "X"))
-    word += w4
-    spent += s4
+    handle = ("Y", "X", "Y'", "X'")
+    phases = (
+        # (i) |x| <= delta/2, k fixed by the handle twists
+        (handle, lambda q: abs(q.x), delta / 2.0, ("Y", "X")),
+        # (ii) w near zero so the k-range of the w-fibre is maximal
+        (("K", "K'"), lambda q: abs(q.w), delta, ("W",)),
+        # (iii) k within eps/2 of k0; tau_W moves k on the w-fibre, tau_W'
+        # is the proof's fallback when tau_W stalls at a fixed point
+        (("W", "W'", "V", "V'", "K"), lambda q: abs(q.k - k0), eps / 2.0, ("K",)),
+        # (iv) x within eps of x0 via the handle (k frozen), avoiding the
+        # one-holed degeneracies of the final point
+        (handle, handle_obj, eps, ("Y", "X")),
+    )
+    # every phase continues the renormalization cadence of the whole word,
+    # so apply_twist_word_t2 replays the returned word to the returned rep
+    arith = su2.float_arithmetic()
+    word: list[str] = []
+    spent = 0
+    state = rep
+    for letters, objective, goal, kicks in phases:
+        done = len(word)
+        w, state, s = greedy_search(
+            state, letters, lambda st: objective(coords_of_rep_t2(st)), goal,
+            budget - spent,
+            lambda st, ws, n: su2.run_word(st, ws, MOVES, arith, done + n),
+            cycle_cap=400, stall_limit=2 * len(letters), kicks=kicks)
+        word += w
+        spent += s
 
+    rep = T2Rep(*map(arith.unit, state))
     final = coords_of_rep_t2(rep)
-    if abs(final.x - x0) >= 2.0 * eps or abs(final.k - k0) >= 2.0 * eps:
+    if abs(final.x - x0) >= eps or abs(final.k - k0) >= eps:
         raise SteerFailure("steer_t2 post-verification failed", budget)
     if not one_holed_genericity_shortcut(final.x, final.y,
                                          trace(quat_mul(rep.X, rep.Y))):

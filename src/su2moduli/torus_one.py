@@ -5,7 +5,7 @@ k = tr(XYX^-1Y^-1) = x^2 + y^2 + z^2 - xyz - 2.
 
 Twist coordinate maps: tau_X(x,y,z) = (x, z, xz-y), tau_Y(x,y,z) = (z, y, yz-x).
 Matrix-level convention (pins the coordinate maps in the forward direction):
-tau_X: (X, Y) -> (X, YX); tau_Y: (X, Y) -> (XY, Y).
+tau_X: (X, Y) -> (X, YX); tau_Y: (X, Y) -> (XY, Y), the table MOVES.
 
 On a nondegenerate fibre x = const of E_k, tau_X acts as a rigid rotation by
 arccos(x/2) in the coordinates (u, v) = (sqrt((2-x)/R)(y+z), sqrt((2+x)/R)(y-z))
@@ -14,12 +14,14 @@ with R = 2 + k - x^2: the fibre equation y^2 + z^2 - xyz = R diagonalizes as
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from . import su2
-from .su2 import Quaternion, quat_mul, trace
-from .tolerances import DEFAULT, RENORM_EVERY
+from .exact import arithmetic_of
+from .su2 import Quaternion
+from .tolerances import DEFAULT
 
 T1Point = tuple[float, float, float]
 
@@ -53,18 +55,22 @@ def tau_y_inv(p: T1Point) -> T1Point:
     return (x * y - z, y, x)
 
 
-def twist_x_matrices(X: Quaternion, Y: Quaternion) -> tuple[Quaternion, Quaternion]:
-    """Matrix-level tau_X: (X, Y) -> (X, YX)."""
-    return X, quat_mul(Y, X)
+#: matrix-level twists of a handle (X, Y) in the walk's arithmetic q
+MOVES = {
+    "X": lambda s, q: (s[0], q.mul(s[1], s[0])),
+    "X'": lambda s, q: (s[0], q.mul(s[1], q.inv(s[0]))),
+    "Y": lambda s, q: (q.mul(s[0], s[1]), s[1]),
+    "Y'": lambda s, q: (q.mul(s[0], q.inv(s[1])), s[1]),
+}
 
 
-def twist_y_matrices(X: Quaternion, Y: Quaternion) -> tuple[Quaternion, Quaternion]:
-    """Matrix-level tau_Y: (X, Y) -> (XY, Y)."""
-    return quat_mul(X, Y), Y
-
-
-def coords_of_matrices(X: Quaternion, Y: Quaternion) -> T1Point:
-    return (trace(X), trace(Y), trace(quat_mul(X, Y)))
+def coords_of_matrices(X: Quaternion, Y: Quaternion,
+                       q: su2.Arithmetic | None = None) -> T1Point:
+    """(tr X, tr Y, tr XY) as floats; q is the arithmetic of X and Y
+    (float when omitted)."""
+    q = q or su2.float_arithmetic()
+    tr = q.trace
+    return (tr(X), tr(Y), tr(q.mul(X, Y)))
 
 
 def in_special_set(k: float, tol: float = DEFAULT.identity) -> bool:
@@ -129,35 +135,28 @@ def pin2_locus_points(k: float) -> list[T1Point]:
 # steering
 # ---------------------------------------------------------------------------
 
-# twist word letters: name and the coordinate/matrix actions
 _COORD_MOVES = {
     "X": tau_x, "X'": tau_x_inv, "Y": tau_y, "Y'": tau_y_inv,
 }
 
 
-def apply_twist_word_coords(p: T1Point, word: list[str]) -> T1Point:
+def _coord_walk(p: T1Point, word, n: int = 0):
+    """Coordinate points after each letter (the walk of steer_t1; the
+    coordinate maps need no renormalization, so n is unused)."""
     for w in word:
         p = _COORD_MOVES[w](p)
+        yield p
+
+
+def apply_twist_word_coords(p: T1Point, word: list[str]) -> T1Point:
+    for p in _coord_walk(p, word):
+        pass
     return p
 
 
-def apply_twist_word_matrices(X: Quaternion, Y: Quaternion, word: list[str]):
-    count = 0
-    for w in word:
-        if w == "X":
-            X, Y = X, quat_mul(Y, X)
-        elif w == "X'":
-            X, Y = X, quat_mul(Y, su2.quat_inv(X))
-        elif w == "Y":
-            X, Y = quat_mul(X, Y), Y
-        elif w == "Y'":
-            X, Y = quat_mul(X, su2.quat_inv(Y)), Y
-        else:
-            raise ValueError(f"unknown twist letter {w}")
-        count += 1
-        if count % RENORM_EVERY == 0:
-            X, Y = su2.normalize(X), su2.normalize(Y)
-    return su2.normalize(X), su2.normalize(Y)
+def apply_twist_word_matrices(X, Y, word: list[str]):
+    """(X, Y) after a twist word, in float or exact arithmetic."""
+    return su2.apply_word((X, Y), word, MOVES, arithmetic_of(X))
 
 
 class SteerFailure(Exception):
@@ -168,21 +167,50 @@ class SteerFailure(Exception):
         self.budget = budget
 
 
-def _cycle_best(p: T1Point, move: str, objective, max_steps: int):
-    """Walk one rotation cycle of `move`, return (best word, best point).
+def greedy_search(state, letters, objective, goal: float, budget: int, walk,
+                  *, cycle_cap: int, stall_limit: int, kicks: tuple):
+    """Greedy best-of-cycle search until objective(state) < goal.
 
-    `objective(p)` is minimized. The cycle length is bounded by max_steps;
-    greedy best-of-cycle, deterministic.
+    Takes the letters in turn; each walks up to `cycle_cap` steps of one
+    rotation cycle, and the best prefix is kept when it lowers the
+    objective by more than 1e-12.  After `stall_limit` cycles in a row
+    without gain the deterministic `kicks` are applied.  `walk(state, word,
+    n)` yields the state after each letter of `word` when this search has
+    found n letters before it.  Returns (word, state, twists spent); raises
+    SteerFailure when the budget of twist applications runs out.
     """
-    best_val = objective(p)
-    best_n, best_p = 0, p
-    q = p
-    for n in range(1, max_steps + 1):
-        q = _COORD_MOVES[move](q)
-        v = objective(q)
-        if v < best_val - 1e-15:
-            best_val, best_n, best_p = v, n, q
-    return [move] * best_n, best_p
+    word: list[str] = []
+    spent = stall = li = 0
+    val = objective(state)
+    while val >= goal:
+        if spent >= budget:
+            raise SteerFailure("steering budget exhausted", budget)
+        steps = min(cycle_cap, budget - spent)
+        letter = letters[li % len(letters)]
+        best_n, best_val, best = 0, val, state
+        cycle = walk(state, itertools.repeat(letter, steps), len(word))
+        for n, s in enumerate(cycle, start=1):
+            v = objective(s)
+            if v < best_val - 1e-15:
+                best_n, best_val, best = n, v, s
+        spent += steps
+        if best_val < val - 1e-12:
+            word += [letter] * best_n
+            state, val = best, best_val
+            stall = 0
+        else:
+            stall += 1
+        li += 1
+        if stall >= stall_limit:
+            # deterministic kick off the stalled fibre; callers restrict
+            # the kick alphabet to letters that fix already-settled coords
+            for state in walk(state, kicks, len(word)):
+                pass
+            word += kicks
+            spent += len(kicks)
+            val = objective(state)
+            stall = 0
+    return word, state, spent
 
 
 def steer_t1(p: T1Point, target: tuple[float, float], eps: float, budget: int,
@@ -203,31 +231,8 @@ def steer_t1(p: T1Point, target: tuple[float, float], eps: float, budget: int,
         dy = abs(q[1] - y0) if y0 is not None else 0.0
         return max(dx, dy)
 
-    word: list[str] = []
-    spent = 0
-    cur = p
-    if obj(cur) < eps:
-        return word, cur
-    stall = 0
     moves = ("Y", "X", "Y'", "X'")
-    mi = 0
-    while spent < budget:
-        steps = min(cycle_cap, budget - spent)
-        w, nxt = _cycle_best(cur, moves[mi % len(moves)], obj, steps)
-        spent += steps
-        if obj(nxt) < obj(cur) - 1e-12:
-            word += w
-            cur = nxt
-            stall = 0
-        else:
-            stall += 1
-        if obj(cur) < eps:
-            return word, cur
-        mi += 1
-        if stall >= len(moves):
-            # kick: one deterministic step to change both fibres
-            cur = tau_x(tau_y(cur))
-            word += ["Y", "X"]
-            spent += 2
-            stall = 0
-    raise SteerFailure("steer_t1 budget exhausted", budget)
+    word, final, _ = greedy_search(p, moves, obj, eps, budget, _coord_walk,
+                                   cycle_cap=cycle_cap, stall_limit=len(moves),
+                                   kicks=("Y", "X"))
+    return word, final

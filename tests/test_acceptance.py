@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from su2moduli import appendix, classify, orbit_lab, sphere_four, torus_one
-from su2moduli.su2 import quat_inv, quat_mul, random_su2
+from su2moduli.su2 import float_arithmetic, quat_inv, quat_mul, random_su2
 from su2moduli.torus_family import (
     T2Rep,
     apply_twist_word_t2,
@@ -31,15 +31,16 @@ def _report(n: int, ok: bool, detail: str = "") -> None:
 def test_criterion_1_twist_agreement():
     rng = np.random.default_rng(101)
     t0 = time.perf_counter()
-    pairs = ((torus_one.tau_x, torus_one.twist_x_matrices),
-             (torus_one.tau_y, torus_one.twist_y_matrices))
+    arith = float_arithmetic()
+    pairs = ((torus_one.tau_x, torus_one.MOVES["X"]),
+             (torus_one.tau_y, torus_one.MOVES["Y"]))
     worst_coord = worst_k = 0.0
     for i in range(10 ** 4):
         X, Y = random_su2(rng), random_su2(rng)
         p = torus_one.coords_of_matrices(X, Y)
         tau, tw = pairs[i % 2]
         q = tau(p)
-        q_mat = torus_one.coords_of_matrices(*tw(X, Y))
+        q_mat = torus_one.coords_of_matrices(*tw((X, Y), arith))
         worst_coord = max(worst_coord,
                           max(abs(a - b) for a, b in zip(q, q_mat)))
         worst_k = max(worst_k, abs(torus_one.k_of(q) - torus_one.k_of(p)))
@@ -180,9 +181,10 @@ def test_criterion_8_steering():
         word = list(rng.choice(["X", "Y", "K", "W", "V"], size=40))
         tgt = coords_of_rep_t2(apply_twist_word_t2(rep, word))
         try:
-            _, out = steer_t2(rep, (tgt.x, tgt.k), eps=0.1, budget=10 ** 7)
+            twists, out = steer_t2(rep, (tgt.x, tgt.k), eps=0.1, budget=10 ** 7)
             final = coords_of_rep_t2(out)
-            if abs(final.x - tgt.x) >= 0.2 or abs(final.k - tgt.k) >= 0.2:
+            if abs(final.x - tgt.x) >= 0.1 or abs(final.k - tgt.k) >= 0.1 \
+                    or apply_twist_word_t2(rep, twists) != out:
                 failures.append(seed)
         except Exception:
             failures.append(seed)

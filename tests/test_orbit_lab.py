@@ -174,6 +174,9 @@ def test_orbit_rejects_bad_input():
         orbit_sample(rep, "nope", budget=10)
     with pytest.raises(ValueError):
         orbit_sample(rep, "t1", twists=["Z"], budget=10)
+    for shards in (0, 4):
+        with pytest.raises(ValueError):
+            orbit_sample(rep, "t1", budget=3, shards=shards)
 
 
 def test_bfs_strategy_enumerates_words():
@@ -188,6 +191,30 @@ def test_compact_word():
     assert _compact_word(["X", "X", "Y'", "X"]) == "X2 Y-1 X1"
     assert _compact_word(["X", "X'"]) == ""
     assert _compact_word([]) == ""
+
+
+def _letters(compact: str) -> list:
+    """Expand a run-length word such as "X2 Y-1" into its letters."""
+    out = []
+    for tok in compact.split():
+        base, e = tok[0], int(tok[1:])
+        out += [base if e > 0 else base + "'"] * abs(e)
+    return out
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_sharded_rows_replay_their_words(shards, tmp_path):
+    from su2moduli.torus_one import apply_twist_word_coords, coords_of_matrices
+
+    X, Y = t1_rep(np.random.default_rng(21))
+    s = orbit_sample((X, Y), "t1", budget=20, seed=1, shards=shards)
+    s.to_csv(tmp_path / "orbit.csv")
+    words = [row[-1] for row in csv.reader(open(tmp_path / "orbit.csv"))][1:]
+    start = coords_of_matrices(X, Y)
+    for i, p in enumerate(s.points):
+        assert words[i] == s.word_for(i)
+        replay = apply_twist_word_coords(start, _letters(words[i]))
+        assert max(abs(a - b) for a, b in zip(replay, p)) < 1e-9, i
 
 
 def test_to_csv(tmp_path):

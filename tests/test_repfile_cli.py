@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +138,7 @@ def test_verify_appendix(capsys):
     code, out = run_cli(["verify-appendix"], capsys)
     assert code == 0
     assert "pass" in out and "FAIL" not in out
+    assert out == (Path(__file__).parent / "data" / "verify_appendix.txt").read_text()
 
 
 def test_exit_code_parse_error(tmp_path, capsys):
@@ -151,6 +153,15 @@ def test_exit_code_invariant(tmp_path, capsys):
     p = tmp_path / "rep.txt"
     p.write_text(haar_t1_text(3))
     assert run_cli(["pants-check", str(p)], capsys)[0] == 3
+
+
+def test_exit_code_non_unit_generator(tmp_path, capsys):
+    p = tmp_path / "rep.txt"
+    p.write_text("genus 1\nboundary 1\ngenerator 2 0 0 0\n"
+                 "generator 0 1 0 0\ngenerator 1/4 0 0 0\n")
+    assert main(["classify", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert "generator 1" in err and "norm 2" in err
 
 
 def test_exit_code_budget(haar_file, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from su2moduli import su2
 from su2moduli.sphere_four import (
+    MOVES,
     Kappa4,
     coords_of_rep4,
     delta_inband,
@@ -20,9 +21,6 @@ from su2moduli.sphere_four import (
     tau_z4,
     tau_z4_inv,
     trace_interval,
-    twist_x4_matrices,
-    twist_y4_matrices,
-    twist_z4_matrices,
     x_level_ellipse,
     y_level_extent_x,
 )
@@ -62,14 +60,13 @@ def test_coordinate_twists_preserve_residual():
 
 
 def test_coordinate_twists_match_matrix_twists():
+    q = su2.float_arithmetic()
     for _ in range(200):
         rep = random_rep4()
         kappa = kappa_of_rep4(rep)
         p = coords_of_rep4(rep)
-        for tau, tw in ((tau_x4, twist_x4_matrices),
-                        (tau_y4, twist_y4_matrices),
-                        (tau_z4, twist_z4_matrices)):
-            got = coords_of_rep4(tw(rep))
+        for tau, letter in ((tau_x4, "X"), (tau_y4, "Y"), (tau_z4, "Z")):
+            got = coords_of_rep4(MOVES[letter](rep, q))
             want = tau(kappa, p)
             assert max(abs(a - b) for a, b in zip(got, want)) < 1e-10
 

@@ -15,7 +15,6 @@ from su2moduli.su2 import (
     from_matrix,
     norm,
     normalize,
-    quat_conj,
     quat_inv,
     quat_mul,
     random_su2,
@@ -65,7 +64,8 @@ def test_inverse_and_conjugation():
         assert norm(quat_mul(g, quat_inv(g))) == pytest.approx(1.0, abs=1e-12)
         assert max(abs(c) for c in quat_mul(g, quat_inv(g))[1:]) < 1e-15
         # conjugation preserves trace
-        assert trace(quat_conj(g, h)) == pytest.approx(trace(h), abs=1e-12)
+        conj = su2.float_arithmetic().conj(g, h)
+        assert trace(conj) == pytest.approx(trace(h), abs=1e-12)
 
 
 def test_trace_product_identity():
@@ -114,6 +114,18 @@ def test_surface_rep_relation_enforced():
     assert rep.relation_residual() < 1e-12
     with pytest.raises(ValueError):
         SurfaceRep(pres, [A1, A2, rand_q()])
+
+
+def test_surface_rep_rejects_non_unit_generators():
+    # the relation closes (residual 0), but no image lies in SU(2)
+    pres = SurfacePresentation(1, 1)
+    images = [(2.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.25, 0.0, 0.0, 0.0)]
+    with pytest.raises(ValueError, match="generator 1 .*norm 2"):
+        SurfaceRep(pres, images)
+    unit = normalize((1.0, 2.0, 3.0, 4.0))
+    scaled = tuple(c * (1.0 + 1e-9) for c in unit)
+    with pytest.raises(ValueError, match="generator 2 "):
+        SurfaceRep(SurfacePresentation(0, 2), [unit, scaled])
 
 
 def test_surface_rep_allows_minus_identity_closure():

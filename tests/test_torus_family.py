@@ -7,6 +7,7 @@ import pytest
 from su2moduli import su2
 from su2moduli.su2 import quat_inv, quat_mul, random_su2, trace
 from su2moduli.torus_family import (
+    MOVES,
     T2Point,
     T2Rep,
     apply_twist_word_t2,
@@ -22,15 +23,10 @@ from su2moduli.torus_family import (
     tau_w_inv,
     tau_wp,
     tau_wp_inv,
-    twist_k_matrices,
-    twist_k_matrices_inv,
-    twist_w_matrices,
-    twist_w_matrices_inv,
-    twist_wp_matrices,
-    twist_wp_matrices_inv,
 )
 
 RNG = np.random.default_rng(2024)
+Q = su2.float_arithmetic()
 
 
 def random_t2rep(rng=RNG) -> T2Rep:
@@ -64,13 +60,12 @@ def test_coordinate_twist_inverses():
 
 
 def test_matrix_twists_match_coordinate_twists():
-    pairs = ((twist_k_matrices, tau_k), (twist_w_matrices, tau_w),
-             (twist_wp_matrices, tau_wp))
+    pairs = (("K", tau_k), ("W", tau_w), ("V", tau_wp))
     for _ in range(100):
         rep = random_t2rep()
         p = coords_of_rep_t2(rep)
-        for tw, tau in pairs:
-            got = coords_of_rep_t2(tw(rep))
+        for letter, tau in pairs:
+            got = coords_of_rep_t2(MOVES[letter](rep, Q))
             want = tau(p)
             for f in ("a", "b", "x", "k", "w", "wp"):
                 assert getattr(got, f) == pytest.approx(
@@ -78,14 +73,11 @@ def test_matrix_twists_match_coordinate_twists():
 
 
 def test_matrix_twist_inverses():
-    pairs = ((twist_k_matrices, twist_k_matrices_inv),
-             (twist_w_matrices, twist_w_matrices_inv),
-             (twist_wp_matrices, twist_wp_matrices_inv))
     for _ in range(50):
         rep = random_t2rep()
         p = coords_of_rep_t2(rep)
-        for tw, tw_inv in pairs:
-            q = coords_of_rep_t2(tw_inv(tw(rep)))
+        for letter in ("K", "W", "V"):
+            q = coords_of_rep_t2(MOVES[letter + "'"](MOVES[letter](rep, Q), Q))
             for f in ("a", "b", "x", "y", "k", "w", "wp"):
                 assert getattr(q, f) == pytest.approx(getattr(p, f), abs=1e-10)
 
@@ -136,10 +128,9 @@ def test_steer_t2_one_seed():
     tgt = coords_of_rep_t2(apply_twist_word_t2(rep, word))
     twists, out = steer_t2(rep, (tgt.x, tgt.k), eps=0.1, budget=10 ** 7)
     final = coords_of_rep_t2(out)
-    assert abs(final.x - tgt.x) < 0.2 and abs(final.k - tgt.k) < 0.2
-    # replay the returned word from the start
-    replay = coords_of_rep_t2(apply_twist_word_t2(rep, twists))
-    assert abs(replay.x - final.x) < 1e-6 and abs(replay.k - final.k) < 1e-6
+    assert abs(final.x - tgt.x) < 0.1 and abs(final.k - tgt.k) < 0.1
+    # the returned word replays from the start to the returned rep exactly
+    assert apply_twist_word_t2(rep, twists) == out
 
 
 def test_steer_t2_rejects_non_generic_handle():

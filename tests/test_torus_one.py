@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from su2moduli import su2, torus_one
 from su2moduli.torus_one import (
+    MOVES,
     SPECIAL_SET,
     SteerFailure,
     apply_twist_word_coords,
@@ -21,8 +22,6 @@ from su2moduli.torus_one import (
     tau_x_inv,
     tau_y,
     tau_y_inv,
-    twist_x_matrices,
-    twist_y_matrices,
 )
 
 RNG = np.random.default_rng(31)
@@ -55,11 +54,12 @@ def test_tau_inverses(x, y, z):
 
 
 def test_coordinate_maps_match_matrix_twists():
+    q = su2.float_arithmetic()
     for _ in range(300):
         X, Y = su2.random_su2(RNG), su2.random_su2(RNG)
         p = coords_of_matrices(X, Y)
-        px = coords_of_matrices(*twist_x_matrices(X, Y))
-        py = coords_of_matrices(*twist_y_matrices(X, Y))
+        px = coords_of_matrices(*MOVES["X"]((X, Y), q))
+        py = coords_of_matrices(*MOVES["Y"]((X, Y), q))
         assert max(abs(a - b) for a, b in zip(px, tau_x(p))) < 1e-12
         assert max(abs(a - b) for a, b in zip(py, tau_y(p))) < 1e-12
 
