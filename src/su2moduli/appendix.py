@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import classify, su2
 from .exact import (EXACT_IDENTITY, HALF, ONE, QFElement, R_CONST, S_CONST,
                     SQRT2, SQRT2_OVER_2, ZERO, ExactQuaternion,
@@ -253,10 +255,11 @@ def solve_case_system(case: str, linear: Sequence[LinearTrace],
             sq = math.sqrt(fd)
             roots = [(-float(bq) + sq) / (2.0 * float(a)),
                      (-float(bq) - sq) / (2.0 * float(a))]
+        fdata = [_quadric_float_data(case, qd) for qd in quadrics]
         pts = []
         for t in roots:
             q = tuple(float(p[i]) + t * float(v[i]) for i in range(4))
-            if all(abs(_quadric_residual_float(case, qd, q)) <= 1e-9 for qd in quadrics):
+            if all(abs(_quadric_residual_float(fd, q)) <= 1e-9 for fd in fdata):
                 pts.append(q)
         ss = SolutionSet(kind="finite" if pts else "empty", float_points=pts)
         _snap_solution_set(case, ss, rows, quadrics)
@@ -317,9 +320,12 @@ def _snap_solution_set(case, ss: SolutionSet, rows, quadrics) -> None:
     ss.float_points = floats
 
 
+#: theta values per block of the circle scan; bounds its temporary arrays
+_SCAN_BLOCK = 4096
+
+
 def _solve_on_circle(case, part, basis, quadrics, res) -> SolutionSet:
     """2-plane meets S^3 in a circle; scan quadric residuals along it."""
-    import numpy as np
     p = np.array([float(c) for c in part])
     V = np.array([[float(c) for c in v] for v in basis]).T  # 4x2
     # orthonormal basis of the plane directions
@@ -333,22 +339,32 @@ def _solve_on_circle(case, part, basis, quadrics, res) -> SolutionSet:
     rho = math.sqrt(max(rho2, 0.0))
     if not quadrics:
         return SolutionSet(kind="curve")
+    fdata = [_quadric_float_data(case, qd) for qd in quadrics]
 
-    def resid(theta: float) -> float:
-        q = c + rho * (math.cos(theta) * e1 + math.sin(theta) * e2)
-        return max(abs(_quadric_residual_float(case, qd, tuple(q))) for qd in quadrics)
+    def points(theta: np.ndarray) -> np.ndarray:
+        """Points of the circle at the angles theta, shape (len(theta), 4)."""
+        return c + rho * (np.cos(theta)[:, None] * e1 + np.sin(theta)[:, None] * e2)
+
+    def resid(theta: np.ndarray) -> np.ndarray:
+        """Worst quadric residual at each angle of theta."""
+        q = points(theta).T
+        return np.max([np.abs(_quadric_residual_float(fd, q)) for fd in fdata], axis=0)
+
+    def resid1(theta: float) -> float:
+        return float(resid(np.array([theta]))[0])
 
     n = int(2.0 * math.pi / res) + 1
-    vals = [resid(2.0 * math.pi * i / n) for i in range(n)]
+    thetas = 2.0 * math.pi * np.arange(n) / n
+    vals = np.concatenate([resid(thetas[i:i + _SCAN_BLOCK])
+                           for i in range(0, n, _SCAN_BLOCK)])
+    minima = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)) & (vals < 1e-2)
     pts = []
-    for i in range(n):
-        if vals[i] <= vals[(i - 1) % n] and vals[i] <= vals[(i + 1) % n] and vals[i] < 1e-2:
-            theta = _refine_min(resid, 2.0 * math.pi * (i - 1) / n, 2.0 * math.pi * (i + 1) / n)
-            if resid(theta) <= 1e-9:
-                q = c + rho * (math.cos(theta) * e1 + math.sin(theta) * e2)
-                qt = tuple(q)
-                if not any(max(abs(qt[j] - s[j]) for j in range(4)) < 1e-6 for s in pts):
-                    pts.append(qt)
+    for i in np.flatnonzero(minima).tolist():
+        theta = _refine_min(resid1, 2.0 * math.pi * (i - 1) / n, 2.0 * math.pi * (i + 1) / n)
+        if resid1(theta) <= 1e-9:
+            qt = tuple(points(np.array([theta]))[0])
+            if not any(max(abs(qt[j] - s[j]) for j in range(4)) < 1e-6 for s in pts):
+                pts.append(qt)
     return SolutionSet(kind="finite" if pts else "empty", float_points=pts)
 
 
@@ -387,8 +403,9 @@ def _quadric_residual_exact(case: str, qd: Quadric, p: ExactQuaternion) -> QFEle
     return total
 
 
-@lru_cache(maxsize=None)
 def _quadric_float_data(case: str, qd: Quadric):
+    """The quadric's atoms as (linear form or None, constant) and its terms,
+    in floats."""
     atoms = []
     for atom in qd.atoms:
         form, const = _atom_form(case, atom)
@@ -400,14 +417,17 @@ def _quadric_float_data(case: str, qd: Quadric):
     return tuple(atoms), terms
 
 
-def _quadric_residual_float(case: str, qd: Quadric, p: tuple) -> float:
-    atoms, terms = _quadric_float_data(case, qd)
+def _quadric_residual_float(data, p):
+    """Residual of the quadric with float data at p = (w, x, y, z), whose
+    components are floats or arrays of one shape."""
+    atoms, terms = data
+    w, x, y, z = p
     vals = []
     for form, const in atoms:
         if form is None:
             vals.append(const)
         else:
-            vals.append(form[0] * p[0] + form[1] * p[1] + form[2] * p[2] + form[3] * p[3])
+            vals.append(form[0] * w + form[1] * x + form[2] * y + form[3] * z)
     total = 0.0
     for coeff, idxs in terms:
         term = coeff

@@ -70,10 +70,25 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+#: chart -> (genus, boundary) of the surfaces it walks; None: any boundary.
+#: t1 twists the handle (A1, A2), which is a handle only in genus 1.
+_CHART_SURFACE = {"t1": (1, None), "s4": (0, 4), "t2": (1, 2)}
+
+
 def _chart_state(rf, rep, chart):
+    """Start state of a walk on chart; RepFileError if the file's surface is
+    not one the chart applies to."""
+    have = (rf.presentation.genus, rf.presentation.boundary)
+    want = _CHART_SURFACE.get(chart)
+    if want is not None and (have[0] != want[0] or want[1] not in (None, have[1])):
+        need = f"genus {want[0]}" + (f", boundary {want[1]}" if want[1] is not None else "")
+        raise RepFileError(f"chart {chart} needs a surface of {need}; the file "
+                           f"has genus {have[0]}, boundary {have[1]}")
     if chart == "t1":
         return (rf.exact_images[0], rf.exact_images[1]) if rf.is_exact \
             else (rep.images[0], rep.images[1])
+    if chart == "t2":
+        return orbit_lab._t2_state(rep)
     return rep
 
 
@@ -168,15 +183,15 @@ def cmd_steer(args) -> int:
     eps = float(_setting(args, cp, "eps", float, 0.1))
     budget = int(_setting(args, cp, "budget", int, 10 ** 6))
     t1, t2 = (float(t) for t in args.target.split(","))
+    state = _chart_state(rf, rep, chart)
     if chart == "t1":
-        X, Y = rep.images[0], rep.images[1]
-        p = torus_one.coords_of_matrices(X, Y)
+        # steering runs in floats, also on an exact file
+        p = torus_one.coords_of_matrices(rep.images[0], rep.images[1])
         word, final = torus_one.steer_t1(p, (t1, t2), eps, budget)
         achieved = {"x": final[0], "y": final[1], "z": final[2],
                     "k": torus_one.k_of(final)}
     elif chart == "t2":
-        t2rep = orbit_lab._t2_state(rep)
-        word, out_rep = torus_family.steer_t2(t2rep, (t1, t2), eps, budget)
+        word, out_rep = torus_family.steer_t2(state, (t1, t2), eps, budget)
         q = torus_family.coords_of_rep_t2(out_rep)
         achieved = {"x": q.x, "k": q.k, "y": q.y, "w": q.w, "wp": q.wp}
     else:

@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .su2 import Quaternion, quat_mul, trace
 
 #: crude box-metric bound on the circumference of any fibre ellipse in [-2,2]^3
@@ -168,6 +170,24 @@ def kappa_of_rep4(rep: Rep4) -> Kappa4:
 # level ellipses
 # ---------------------------------------------------------------------------
 
+def x_fibre(a: float, b: float, c: float, d: float, x):
+    """(rhs, y_c, z_c, half) of the fibre x = const of E_(a,b,c,d).
+
+    x is a float or an array.  The fibre's box extents are the centre
+    (y_c, z_c) plus or minus half, or the centre alone when the fibre is
+    degenerate (rhs <= 1e-15); half is nan where rhs < 0.
+    """
+    den = 4.0 - x * x
+    rhs = ((x * x - a * b * x + a * a + b * b - 4.0)
+           * (x * x - c * d * x + c * c + d * d - 4.0) / den)
+    yc = (2.0 * (a * d + b * c) - x * (a * c + b * d)) / den
+    zc = (2.0 * (a * c + b * d) - x * (a * d + b * c)) / den
+    with np.errstate(invalid="ignore"):
+        half = 0.5 * (np.sqrt(rhs / ((2.0 + x) / 4.0))
+                      + np.sqrt(rhs / ((2.0 - x) / 4.0)))
+    return rhs, yc, zc, half
+
+
 @dataclass(frozen=True)
 class LevelEllipse4:
     """Fibre x = const of E_kappa in the (y, z) plane."""
@@ -182,17 +202,14 @@ class LevelEllipse4:
     center: tuple[float, float]   # (y_c, z_c)
     angle: float                  # 2*arccos(x/2)
     degenerate: bool
+    half: float                   # half-width of the box extents
 
     def extents(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """((y_lo, y_hi), (z_lo, z_hi)) box extents of the fibre."""
-        if self.degenerate:
-            yc, zc = self.center
-            return ((yc, yc), (zc, zc))
-        ru = math.sqrt(self.rhs / self.coeff_plus)
-        rv = math.sqrt(self.rhs / self.coeff_minus)
-        half = 0.5 * (ru + rv)
         yc, zc = self.center
-        return ((yc - half, yc + half), (zc - half, zc + half))
+        if self.degenerate:
+            return ((yc, yc), (zc, zc))
+        return ((yc - self.half, yc + self.half), (zc - self.half, zc + self.half))
 
     def parametrize(self, t: float) -> tuple[float, float]:
         """Point (y, z) at parameter t in [0, 2pi); identity map if degenerate."""
@@ -207,18 +224,14 @@ def x_level_ellipse(kappa: Kappa4, x: float) -> LevelEllipse4:
     if abs(4.0 - x * x) < 1e-14:
         raise ValueError("singular parameter: x = +-2")
     a, b, c, d = kappa.as_tuple()
-    u0 = (a + b) * (c + d) / (2.0 + x)
-    v0 = (a - b) * (d - c) / (2.0 - x)
-    rhs = ((x * x - a * b * x + a * a + b * b - 4.0)
-           * (x * x - c * d * x + c * c + d * d - 4.0) / (4.0 - x * x))
-    yc = (2.0 * (a * d + b * c) - x * (a * c + b * d)) / (4.0 - x * x)
-    zc = (2.0 * (a * c + b * d) - x * (a * d + b * c)) / (4.0 - x * x)
+    rhs, yc, zc, half = x_fibre(a, b, c, d, x)
     return LevelEllipse4(
         kappa=kappa, x=x,
         coeff_plus=(2.0 + x) / 4.0, coeff_minus=(2.0 - x) / 4.0,
-        u0=u0, v0=v0, rhs=max(rhs, 0.0) if rhs > -1e-12 else rhs,
+        u0=(a + b) * (c + d) / (2.0 + x), v0=(a - b) * (d - c) / (2.0 - x),
+        rhs=max(rhs, 0.0) if rhs > -1e-12 else rhs,
         center=(yc, zc), angle=2.0 * math.acos(max(-1.0, min(1.0, x / 2.0))),
-        degenerate=rhs <= 1e-15,
+        degenerate=rhs <= 1e-15, half=float(half),
     )
 
 
@@ -285,46 +298,51 @@ def delta_inband(a: float, b: float, eps: float, *, delta_min: float = 1e-6) -> 
     raise ArithmeticError("delta_inband: no verified delta above delta_min")
 
 
+def _box(a: float, b: float, c: float, d: float, x: np.ndarray):
+    """Box extents (y_lo, y_hi, z_lo, z_hi) of the x-fibres over the array x,
+    as LevelEllipse4.extents gives them one fibre at a time."""
+    rhs, yc, zc, half = x_fibre(a, b, c, d, x)
+    half = np.where(rhs <= 1e-15, 0.0, half)
+    return yc - half, yc + half, zc - half, zc + half
+
+
 def _inband_predicate(a: float, b: float, delta: float, eps: float) -> bool:
     pitch = delta / 8.0
     grid = [-delta + i * pitch for i in range(int(2 * delta / pitch) + 1)]
+    ys = np.array(grid)
     lo_ab, hi_ab = trace_interval(a, b)
     for c in grid:
         for d in grid:
             try:
-                kappa = Kappa4(a, b, c, d)
+                Kappa4(a, b, c, d)
+                # the fibre y = const is the x-fibre of the cycled kappa,
+                # with x in the z slot (see y_level_extent_x)
+                Kappa4(b, c, a, d)
             except ValueError:
                 return False
             lo_cd, hi_cd = trace_interval(c, d)
             xlo, xhi = max(lo_ab, lo_cd), min(hi_ab, hi_cd)
             if xlo > xhi:
                 return False
-            for y in grid:
-                # x-range realized over the fibre y = const
-                try:
-                    ex = y_level_extent_x(kappa, y)
-                except ValueError:
-                    return False
-                if ex[0] > xlo + eps or ex[1] < xhi - eps:
-                    return False
+            # x-range realized over each fibre y = const
+            _, _, ex_lo, ex_hi = _box(b, c, a, d, ys)
+            if np.any(ex_lo > xlo + eps) or np.any(ex_hi < xhi - eps):
+                return False
             # fibre x = const: all-of-[-delta/2,delta/2] or inside [-delta,delta]
             nx = max(3, int((xhi - xlo) / max(pitch, 1e-9)) + 1)
-            for i in range(nx):
-                x = xlo + (xhi - xlo) * i / (nx - 1)
-                if abs(x) >= 2.0 - 1e-9:
-                    continue
-                e = x_level_ellipse(kappa, x)
-                (ylo, yhi), (zlo, zhi) = e.extents()
-                # the dichotomy only matters for fibres meeting the band
-                # [-delta, delta]^2; pinch fibres at the ends of the
-                # x-interval sit far from the origin and never arise as
-                # small-coordinate candidates
-                meets_band = ylo <= delta and yhi >= -delta \
-                    and zlo <= delta and zhi >= -delta
-                if not meets_band:
-                    continue
-                covers = ylo <= -delta / 2 and yhi >= delta / 2 and zlo <= -delta / 2 and zhi >= delta / 2
-                inside = ylo >= -delta and yhi <= delta and zlo >= -delta and zhi <= delta
-                if not (covers or inside):
-                    return False
+            xs = xlo + (xhi - xlo) * np.arange(nx) / (nx - 1)
+            xs = xs[np.abs(xs) < 2.0 - 1e-9]
+            ylo, yhi, zlo, zhi = _box(a, b, c, d, xs)
+            # the dichotomy only matters for fibres meeting the band
+            # [-delta, delta]^2; pinch fibres at the ends of the
+            # x-interval sit far from the origin and never arise as
+            # small-coordinate candidates
+            meets_band = (ylo <= delta) & (yhi >= -delta) \
+                & (zlo <= delta) & (zhi >= -delta)
+            covers = (ylo <= -delta / 2) & (yhi >= delta / 2) \
+                & (zlo <= -delta / 2) & (zhi >= delta / 2)
+            inside = (ylo >= -delta) & (yhi <= delta) \
+                & (zlo >= -delta) & (zhi <= delta)
+            if np.any(meets_band & ~(covers | inside)):
+                return False
     return True

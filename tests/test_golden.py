@@ -1,11 +1,12 @@
 """Seeded outputs compared byte for byte with recorded fixtures.
 
-The fixtures under ``tests/data/`` were recorded before the twist tables,
-the word runner and the steering loop were merged, and guard any later
-rewrite of the walkers (a batched walker must reproduce them bit for bit).
-Regenerate them only on purpose, with ``python tests/test_golden.py``.
+The fixtures under ``tests/data/`` guard rewrites of the walkers, of the
+steering loop, of the appendix circle scan and of the ``delta_inband`` grid
+predicate: a faster version must reproduce them bit for bit.  Regenerate
+them only on purpose, with ``python tests/test_golden.py``.
 """
 import io
+import json
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from su2moduli import appendix, orbit_lab
+from su2moduli import appendix, orbit_lab, sphere_four
 from su2moduli.cli import main
 from su2moduli.repfile import format_repfile
 from su2moduli.su2 import SurfacePresentation, quat_inv, quat_mul, random_su2
@@ -67,6 +68,49 @@ def _steer_t1(target: str) -> str:
                  f"--target={target}", "--eps", "0.05"])
 
 
+def _steer_t2() -> str:
+    return _cli(["steer", str(DATA / "t2.rep"), "--chart", "t2",
+                 "--target=0.5,0.3", "--eps", "0.1"])
+
+
+def _appendix_solutions() -> str:
+    """Every solution and escape trace of the worked cases, as reprs."""
+    lines = []
+    for r in appendix.verify_all_worked_cases():
+        lines.append(r.case_id)
+        lines += [f"  solution {tuple(float(v) for v in s)!r}" for s in r.solutions]
+        lines += [f"  escape {float(t)!r}" for t in r.escape_traces]
+    return "\n".join(lines) + "\n"
+
+
+#: (a, b, eps) for the delta_inband fixture: eps 0.2 and 0.4 fail at the
+#: first halving levels, eps 0.01 makes the finest grids, and |a| or |b|
+#: near 2 makes I_{a,b} narrow
+DELTA_TRIPLES = (
+    (1.0, 0.016, 0.05), (0.3, -0.7, 0.2), (0.3, -0.7, 0.4), (1.999, 0.3, 0.1),
+    (0.5, 0.5, 0.01), (1.999, 0.3, 0.01), (0.0, 0.0, 0.05), (0.0, 0.0, 0.4),
+    (-1.2, 0.8, 0.05), (-1.2, 0.8, 0.2), (1.5, 1.5, 0.1), (1.5, -1.5, 0.4),
+    (-1.98, 1.97, 0.05), (0.2, -1.995, 0.05), (1.9999, 1.9999, 0.1),
+    (-1.9999, 0.5, 0.2), (0.9, -0.1, 0.1), (-0.4, -0.4, 0.2), (1.1, 0.6, 0.4),
+    (-0.7, 1.3, 0.05), (0.05, 1.7, 0.1), (1.8, -0.2, 0.2), (-1.6, -1.1, 0.1),
+    (0.6, 0.02, 0.01),
+)
+
+
+def _delta_inband() -> str:
+    """delta_inband and the grid predicate at its first four halving levels."""
+    rows = []
+    for a, b, eps in DELTA_TRIPLES:
+        top = min(eps, 0.5)
+        rows.append({
+            "a": a, "b": b, "eps": eps,
+            "delta": sphere_four.delta_inband(a, b, eps),
+            "verdicts": [sphere_four._inband_predicate(a, b, top / 2 ** k, eps)
+                         for k in range(4)],
+        })
+    return json.dumps(rows, indent=1) + "\n"
+
+
 #: fixture name -> producer of its text from a scratch directory
 FIXTURES = {
     "orbit_t1.csv": lambda tmp: _orbit_csv(tmp, "t1"),
@@ -80,6 +124,9 @@ FIXTURES = {
     "density_s4.json": lambda tmp: _density("s4"),
     "steer_t1_a.json": lambda tmp: _steer_t1("0.3,-0.5"),
     "steer_t1_b.json": lambda tmp: _steer_t1("0.8,0.1"),
+    "steer_t2.json": lambda tmp: _steer_t2(),
+    "appendix_solutions.txt": lambda tmp: _appendix_solutions(),
+    "delta_inband.json": lambda tmp: _delta_inband(),
 }
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from su2moduli.cli import main
+from su2moduli.orbit_lab import random_genus2_rep
 from su2moduli.repfile import (
     RepFileError,
     format_repfile,
@@ -162,6 +163,40 @@ def test_exit_code_non_unit_generator(tmp_path, capsys):
     assert main(["classify", str(p)]) == 3
     err = capsys.readouterr().err
     assert "generator 1" in err and "norm 2" in err
+
+
+DATA = Path(__file__).parent / "data"
+
+
+MISMATCHES = [
+    ("orbit", "s4.rep", "t1", "genus 0, boundary 4"),
+    ("density", "s4.rep", "t1", "genus 0, boundary 4"),
+    ("steer", "s4.rep", "t1", "genus 0, boundary 4"),
+    ("orbit", "t2.rep", "s4", "genus 1, boundary 2"),
+    ("orbit", "t1.rep", "s4", "genus 1, boundary 1"),
+    ("orbit", "t1.rep", "t2", "genus 1, boundary 1"),
+    ("steer", "t1.rep", "t2", "genus 1, boundary 1"),
+]
+
+
+@pytest.mark.parametrize("command, rep, chart, surface", MISMATCHES,
+                         ids=[f"{c}-{r[:2]}-{ch}" for c, r, ch, _ in MISMATCHES])
+def test_chart_rejects_wrong_surface(command, rep, chart, surface, capsys):
+    args = [command, str(DATA / rep), "--chart", chart, "--budget", "5"]
+    if command == "steer":
+        args.append("--target=0.1,0.1")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"chart {chart}" in err and f"the file has {surface}" in err
+
+
+def test_chart_t1_rejects_closed_genus_2(tmp_path, capsys):
+    # (A1, A2) is not a handle of the closed genus-2 surface
+    rep = random_genus2_rep(np.random.default_rng(2))
+    p = tmp_path / "g2.rep"
+    p.write_text(format_repfile(rep.presentation, rep.images))
+    assert main(["orbit", str(p), "--chart", "t1", "--budget", "5"]) == 2
+    assert "the file has genus 2, boundary 0" in capsys.readouterr().err
 
 
 def test_exit_code_budget(haar_file, capsys):

@@ -21,6 +21,7 @@ from su2moduli.sphere_four import (
     tau_z4,
     tau_z4_inv,
     trace_interval,
+    x_fibre,
     x_level_ellipse,
     y_level_extent_x,
 )
@@ -135,3 +136,41 @@ def test_y_level_extent_contains_surface_points():
     y, z = e.parametrize(1.0)
     lo, hi = y_level_extent_x(kappa, y)
     assert lo - 1e-9 <= 0.3 <= hi + 1e-9
+
+
+def _fibre_extents(rhs, yc, zc, half):
+    """Box extents from x_fibre's output, as LevelEllipse4.extents reads them."""
+    if rhs <= 1e-15:
+        return ((yc, yc), (zc, zc))
+    return ((yc - half, yc + half), (zc - half, zc + half))
+
+
+def test_x_fibre_float_and_array_forms_agree():
+    """x_fibre on a float and on an array gives x_level_ellipse's and
+    y_level_extent_x's extents bit for bit, degenerate fibres and x within
+    1e-9 of +-2 included."""
+    degenerate = 0
+    for a, b, c, d in ((0.5, -1.0, -0.2, 1.2),
+                       (2.0, 1.0, 0.5, 0.3),   # rhs has the factor (x - 1)^2
+                       (1.9999, 1.9999, 0.0, 0.0),
+                       (0.0, 0.0, 0.0, 0.0)):
+        kappa = Kappa4(a, b, c, d)
+        ends = trace_interval(a, b) + trace_interval(c, d)
+        xs = [x for x in (*ends, 1.0, -1.0, 0.0, 2.0 - 1e-9, -2.0 + 1e-9,
+                          2.0 - 5e-10, -2.0 + 5e-10,
+                          *(float(t) for t in np.linspace(-1.99, 1.99, 41)))
+              if abs(4.0 - x * x) >= 1e-14]
+        arr = x_fibre(a, b, c, d, np.array(xs))
+        for i, x in enumerate(xs):
+            one = x_fibre(a, b, c, d, x)
+            want = x_level_ellipse(kappa, x).extents()
+            assert _fibre_extents(*one) == want
+            assert _fibre_extents(*(v[i] for v in arr)) == want
+            degenerate += one[0] <= 1e-15
+        # the fibre y = const is the x-fibre of the cycled kappa (b, c, a, d)
+        arr = x_fibre(b, c, a, d, np.array(xs))
+        for i, y in enumerate(xs):
+            want = y_level_extent_x(kappa, y)
+            assert _fibre_extents(*x_fibre(b, c, a, d, y))[1] == want
+            assert _fibre_extents(*(v[i] for v in arr))[1] == want
+    assert degenerate >= 3
