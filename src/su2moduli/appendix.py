@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +26,6 @@ from .exact import (EXACT_IDENTITY, HALF, ONE, QFElement, R_CONST, S_CONST,
                     SQRT2, SQRT2_OVER_2, ZERO, ExactQuaternion,
                     exact_trace_form)
 
-F = Fraction
 Q = QFElement.of
 
 # ---------------------------------------------------------------------------
@@ -37,12 +35,12 @@ Q = QFElement.of
 
 GENERATORS = {
     "T": (
-        ExactQuaternion.of(Q(F(1, 2)), Q(F(-1, 2)), Q(F(1, 2)), Q(F(-1, 2))),
-        ExactQuaternion.of(Q(F(1, 2)), Q(F(-1, 2)), Q(F(-1, 2)), Q(F(1, 2))),
+        ExactQuaternion(HALF, -HALF, HALF, -HALF),
+        ExactQuaternion(HALF, -HALF, -HALF, HALF),
     ),
     "C": (
         ExactQuaternion(SQRT2_OVER_2, SQRT2_OVER_2, ZERO, ZERO),
-        ExactQuaternion.of(Q(F(1, 2)), Q(F(-1, 2)), Q(F(-1, 2)), Q(F(-1, 2))),
+        ExactQuaternion(HALF, -HALF, -HALF, -HALF),
     ),
     "D1": (
         # the appendix prints +1/2 for the x entry, but its own trace forms
@@ -56,7 +54,7 @@ GENERATORS = {
         ExactQuaternion(-R_CONST, HALF, -S_CONST, ZERO),
     ),
     "D3": (
-        ExactQuaternion.of(Q(F(1, 2)), Q(F(1, 2)), Q(F(-1, 2)), Q(F(-1, 2))),
+        ExactQuaternion(HALF, HALF, -HALF, -HALF),
         ExactQuaternion(R_CONST, S_CONST, ZERO, HALF),
     ),
 }
@@ -564,7 +562,7 @@ _add(AppendixCase(
     linear=(LinearTrace("g", ZERO), LinearTrace("ig", ONE)),
     quadrics=(spin2_quadric(_t_atom("i"), _c_atom(ONE), _t_atom("gi")),),
     claimed_solutions=(
-        ExactQuaternion.of(Q(F(1, 2)), Q(F(1, 2)), Q(F(-1, 2)), Q(F(1, 2))),
+        ExactQuaternion(HALF, HALF, -HALF, HALF),
     ),
     conclusion="in_group",
     note="tr(A_{g+i}A_j)=0, tr(A_iA_{g+i}A_j)=1: A_j lands in T",
@@ -587,7 +585,7 @@ _add(AppendixCase(
         terms=((ONE, (0, 0)), (ONE, (1, 1)), (-SQRT2, (0, 1)), (Q(-2), ())),
     ),),
     claimed_solutions=(
-        ExactQuaternion.of(Q(F(1, 2)), Q(F(-1, 2)), Q(F(-1, 2)), Q(F(1, 2))),
+        ExactQuaternion(HALF, -HALF, -HALF, HALF),
     ),
     conclusion="in_group",
     note="tr(A_iA_j)=sqrt2, tr(A_iA_jA_{g+i})=0, Spin(2) condition",

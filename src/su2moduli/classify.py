@@ -10,6 +10,7 @@ multiset) fingerprints separate T / C / D from the binary dihedral family.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -114,21 +115,48 @@ def _closure_exact(gens: list, cap: int) -> FiniteClosure:
 
 
 def _sorted_exact(seen: dict) -> list:
-    return [seen[k] for k in sorted(seen)]
+    """The elements in the lexicographic order of their rational coefficients."""
+    return sorted(seen.values(), key=lambda q: tuple(
+        c for e in (q.w, q.x, q.y, q.z) for c in (e.q0, e.q1, e.q2, e.q3)))
+
+
+#: the 3^4 neighbour offsets of a grid cell, one axis digit each
+_NEIGHBOURS = tuple(itertools.product((-1, 0, 1), repeat=4))
 
 
 def _closure_float(gens: list, cap: int, tol: Tolerances) -> FiniteClosure:
     eps = tol.cluster
+    # sup-norm grid of side 10 eps: every element within 10 eps of q lies
+    # in q's cell or one of its 3^4 - 1 neighbours (up to the rounding of
+    # q / side at a cell wall, which can only move a point at distance
+    # 10 eps out of reach)
+    side = 10.0 * eps
+    if not side > 0.0:
+        raise ValueError("the clustering tolerance must be positive")
+    # a cell is coded as one integer with its axis indices as digits in
+    # base m > 2 / side, so a neighbour's code is the cell's code plus a
+    # fixed offset; two cells share a code only off the unit sphere, which
+    # adds candidates but never hides one
+    m = 2 * int(1.0 / side) + 5
+    offsets = [((a * m + b) * m + c) * m + d for a, b, c, d in _NEIGHBOURS]
+    cells: dict = {}     # cell code -> indices of the elements in it
 
-    def find(q):
-        """Index of q in elements, or -1; raises on ambiguous proximity."""
-        best, best_d, second = -1, math.inf, math.inf
-        for i, e in enumerate(elements):
-            d = max(abs(q[0] - e[0]), abs(q[1] - e[1]), abs(q[2] - e[2]), abs(q[3] - e[3]))
-            if d < best_d:
-                best, best_d, second = i, d, best_d
-            elif d < second:
-                second = d
+    def cell(q):
+        floor = math.floor
+        return (((floor(q[0] / side) * m + floor(q[1] / side)) * m
+                 + floor(q[2] / side)) * m + floor(q[3] / side))
+
+    def find(q, code):
+        """Index of the nearest element within eps of q, or -1; raises on
+        ambiguous proximity.  Elements lie more than 10 eps apart, so a
+        match is unique and the order of the cells does not matter."""
+        best, best_d = -1, math.inf
+        for off in offsets:
+            for i in cells.get(code + off, ()):
+                e = elements[i]
+                d = max(abs(q[0] - e[0]), abs(q[1] - e[1]), abs(q[2] - e[2]), abs(q[3] - e[3]))
+                if d < best_d:
+                    best, best_d = i, d
         if best_d <= eps:
             return best
         if best_d <= 10.0 * eps:
@@ -137,17 +165,23 @@ def _closure_float(gens: list, cap: int, tol: Tolerances) -> FiniteClosure:
                 " use the exact path")
         return -1
 
-    elements = [su2.IDENTITY]
+    def add(q, code):
+        cells.setdefault(code, []).append(len(elements))
+        elements.append(q)
+
+    elements: list = []
+    add(su2.IDENTITY, cell(su2.IDENTITY))
     frontier = [su2.IDENTITY]
     while frontier:
         new = []
         for u in frontier:
             for g in gens:
                 v = su2.normalize(su2.quat_mul(u, g))
-                if find(v) == -1:
+                code = cell(v)
+                if find(v, code) == -1:
                     if len(elements) >= cap:
                         return FiniteClosure(sorted(elements), gens, False, cap)
-                    elements.append(v)
+                    add(v, code)
                     new.append(v)
         frontier = new
     return FiniteClosure(sorted(elements), gens, True, cap)

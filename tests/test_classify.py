@@ -7,6 +7,7 @@ import pytest
 from su2moduli import su2
 from su2moduli.appendix import GENERATORS
 from su2moduli.classify import (
+    AmbiguousClusteringError,
     classify_subgroup,
     finite_closure,
     one_holed_genericity_shortcut,
@@ -14,6 +15,7 @@ from su2moduli.classify import (
     pin2_geometric_test,
     spin2_criterion_3holed,
 )
+from su2moduli.tolerances import DEFAULT, Tolerances
 
 RNG = np.random.default_rng(11)
 
@@ -87,3 +89,72 @@ def test_genericity_shortcut():
     assert not one_holed_genericity_shortcut(0.9, 0.0, 0.0)
     # a garden-variety dense character
     assert one_holed_genericity_shortcut(0.5, 0.7, 1.1)
+
+
+# ---------------------------------------------------------------------------
+# the grid-hashed float closure against a linear scan
+# ---------------------------------------------------------------------------
+
+def _linear_scan_closure(gens, cap=240, eps=DEFAULT.cluster):
+    """Float closure that looks every product up by a linear scan: the
+    nearest element within eps (first index on ties) is a match."""
+    def find(q):
+        best, best_d = -1, math.inf
+        for i, e in enumerate(elements):
+            d = max(abs(q[k] - e[k]) for k in range(4))
+            if d < best_d:
+                best, best_d = i, d
+        if best_d <= eps:
+            return best
+        if best_d <= 10.0 * eps:
+            raise AmbiguousClusteringError(best_d)
+        return -1
+
+    elements = [su2.IDENTITY]
+    frontier = [su2.IDENTITY]
+    while frontier:
+        new = []
+        for u in frontier:
+            for g in gens:
+                v = su2.normalize(su2.quat_mul(u, g))
+                if find(v) == -1:
+                    if len(elements) >= cap:
+                        return sorted(elements), False
+                    elements.append(v)
+                    new.append(v)
+        frontier = new
+    return sorted(elements), True
+
+
+def _float_pairs():
+    rng = np.random.default_rng(2024)
+    pairs = [(su2.random_su2(rng), su2.random_su2(rng)) for _ in range(50)]
+    pairs += [tuple(g.to_float() for g in GENERATORS[h])
+              for h in ("T", "C", "D1", "D2", "D3")]
+    pairs.append((su2.from_axis_angle((0, 0, 1), 0.3), (0.0, 0.0, 1.0, 0.0)))
+    return pairs
+
+
+def test_float_closure_matches_linear_scan():
+    for gens in _float_pairs():
+        fc = finite_closure(list(gens))
+        assert (fc.elements, fc.closed) == _linear_scan_closure(gens)
+
+
+def test_float_closure_near_duplicate_generators_are_ambiguous():
+    g = su2.random_su2(np.random.default_rng(5))
+    h = su2.normalize((g[0] + 5e-9, g[1], g[2], g[3]))
+    with pytest.raises(AmbiguousClusteringError):
+        _linear_scan_closure([g, h])
+    with pytest.raises(AmbiguousClusteringError, match="use the exact path"):
+        finite_closure([g, h])
+    with pytest.raises(AmbiguousClusteringError):
+        classify_subgroup([g, h])
+    # within the tolerance the two generators are one element
+    h = su2.normalize((g[0] + 5e-10, g[1], g[2], g[3]))
+    assert finite_closure([g, h]).elements == finite_closure([g]).elements
+
+
+def test_float_closure_needs_positive_tolerance():
+    with pytest.raises(ValueError):
+        finite_closure([su2.IDENTITY], tol=Tolerances(cluster=0.0))

@@ -1,8 +1,10 @@
 """Exact quadratic-field arithmetic and exact quaternions."""
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from su2moduli import su2
 from su2moduli.exact import (
@@ -84,3 +86,108 @@ def test_exact_trace_form_is_trace_of_product():
     lin = cw * q.w + cx * q.x + cy * q.y + cz * q.z
     assert float(lin) == pytest.approx(
         su2.trace(su2.quat_mul(p.to_float(), q.to_float())), abs=1e-14)
+
+
+def test_of_rejects_floats():
+    # Fraction(0.1) would be exact but not 1/10: floats stop at the boundary
+    with pytest.raises(TypeError):
+        QFElement.of(0.1)
+    with pytest.raises(TypeError):
+        QFElement.of(0, 0.5)
+    with pytest.raises(TypeError):
+        ExactQuaternion.of(0.5, 0.5, 0.5, 0.5)
+    assert QFElement.of(1, Fraction(1, 2)) == QFElement.of(Fraction(2, 2), Fraction(2, 4))
+
+
+# ---------------------------------------------------------------------------
+# the integer code against the four-Fraction formulas
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RefQF:
+    """q0 + q1*sqrt2 + q2*sqrt5 + q3*sqrt10 with four Fraction coefficients."""
+
+    q0: Fraction
+    q1: Fraction
+    q2: Fraction
+    q3: Fraction
+
+    def __add__(self, o):
+        return RefQF(self.q0 + o.q0, self.q1 + o.q1, self.q2 + o.q2, self.q3 + o.q3)
+
+    def __neg__(self):
+        return RefQF(-self.q0, -self.q1, -self.q2, -self.q3)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __mul__(self, o):
+        a0, a1, a2, a3 = self.q0, self.q1, self.q2, self.q3
+        b0, b1, b2, b3 = o.q0, o.q1, o.q2, o.q3
+        return RefQF(
+            a0 * b0 + 2 * a1 * b1 + 5 * a2 * b2 + 10 * a3 * b3,
+            a0 * b1 + a1 * b0 + 5 * (a2 * b3 + a3 * b2),
+            a0 * b2 + a2 * b0 + 2 * (a1 * b3 + a3 * b1),
+            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+        )
+
+    def inverse(self):
+        c2 = RefQF(self.q0, -self.q1, self.q2, -self.q3)
+        n2 = self * c2
+        c5 = RefQF(n2.q0, Fraction(0), -n2.q2, Fraction(0))
+        n5 = n2 * c5
+        return c2 * c5 * RefQF(1 / n5.q0, Fraction(0), Fraction(0), Fraction(0))
+
+    def __float__(self):
+        return (float(self.q0) + float(self.q1) * math.sqrt(2.0)
+                + float(self.q2) * math.sqrt(5.0) + float(self.q3) * math.sqrt(10.0))
+
+    def __repr__(self):
+        parts = [f"{c}{sym}" for c, sym in ((self.q0, ""), (self.q1, "*sqrt2"),
+                                            (self.q2, "*sqrt5"), (self.q3, "*sqrt10")) if c]
+        return " + ".join(parts) if parts else "0"
+
+
+RATIONALS = st.one_of(
+    st.fractions(max_denominator=10 ** 6, min_value=-10 ** 6, max_value=10 ** 6),
+    st.integers(-10 ** 30, 10 ** 30).map(Fraction),
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 4)]),
+)
+ELEMENTS = st.tuples(RATIONALS, RATIONALS, RATIONALS, RATIONALS)
+
+
+def _agree(x: QFElement, ref: RefQF) -> None:
+    """x equals ref coefficient by coefficient, in repr and in float (bit for
+    bit), and its code is in lowest terms."""
+    assert (x.q0, x.q1, x.q2, x.q3) == (ref.q0, ref.q1, ref.q2, ref.q3)
+    assert repr(x) == repr(ref)
+    assert float(x).hex() == float(ref).hex()
+    *nums, d = x._code
+    assert d > 0 and math.gcd(*nums, d) == 1
+
+
+@given(ELEMENTS, ELEMENTS)
+@settings(max_examples=300, deadline=None)
+def test_field_operations_match_fraction_formulas(a, b):
+    x, y = QFElement.of(*a), QFElement.of(*b)
+    ra, rb = RefQF(*a), RefQF(*b)
+    _agree(x, ra)
+    _agree(x + y, ra + rb)
+    _agree(x - y, ra - rb)
+    _agree(-x, -ra)
+    _agree(x * y, ra * rb)
+    if any(a):
+        _agree(x.inverse(), ra.inverse())
+        assert x * x.inverse() == ONE
+    assert (x == y) == (ra == rb)
+    assert x == QFElement.of(*a) and hash(x) == hash(QFElement.of(*a))
+
+
+@given(ELEMENTS, st.integers(-50, 50))
+@settings(max_examples=100, deadline=None)
+def test_field_operations_with_integers(a, n):
+    x, ra, rn = QFElement.of(*a), RefQF(*a), RefQF(*map(Fraction, (n, 0, 0, 0)))
+    _agree(n * x, rn * ra)
+    _agree(x + n, ra + rn)
+    _agree(n - x, rn - ra)
+    _agree(x - n, ra - rn)

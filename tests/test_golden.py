@@ -1,9 +1,10 @@
 """Seeded outputs compared byte for byte with recorded fixtures.
 
 The fixtures under ``tests/data/`` guard rewrites of the walkers, of the
-steering loop, of the appendix circle scan and of the ``delta_inband`` grid
-predicate: a faster version must reproduce them bit for bit.  Regenerate
-them only on purpose, with ``python tests/test_golden.py``.
+steering loop, of the appendix circle scan, of the ``delta_inband`` grid
+predicate and of the exact field arithmetic (``closures.txt`` pins the
+order of the exact closures): a faster version must reproduce them bit for
+bit.  Regenerate them only on purpose, with ``python tests/test_golden.py``.
 """
 import io
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from su2moduli import appendix, orbit_lab, sphere_four
+from su2moduli import appendix, classify, orbit_lab, sphere_four
 from su2moduli.cli import main
 from su2moduli.repfile import format_repfile
 from su2moduli.su2 import SurfacePresentation, quat_inv, quat_mul, random_su2
@@ -83,6 +84,16 @@ def _appendix_solutions() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _closures() -> str:
+    """Every element of each handle's exact closure, in the returned order."""
+    lines = []
+    for handle in ("T", "C", "D1", "D2", "D3"):
+        lines.append(handle)
+        closure = classify.finite_closure(list(appendix.GENERATORS[handle]))
+        lines += [f"  {e!r}" for e in closure.elements]
+    return "\n".join(lines) + "\n"
+
+
 #: (a, b, eps) for the delta_inband fixture: eps 0.2 and 0.4 fail at the
 #: first halving levels, eps 0.01 makes the finest grids, and |a| or |b|
 #: near 2 makes I_{a,b} narrow
@@ -126,6 +137,7 @@ FIXTURES = {
     "steer_t1_b.json": lambda tmp: _steer_t1("0.8,0.1"),
     "steer_t2.json": lambda tmp: _steer_t2(),
     "appendix_solutions.txt": lambda tmp: _appendix_solutions(),
+    "closures.txt": lambda tmp: _closures(),
     "delta_inband.json": lambda tmp: _delta_inband(),
 }
 
