@@ -449,7 +449,7 @@ _FINITE_TRACES = (0.0, 1.0, -1.0, 2.0, -2.0, math.sqrt(2.0), -math.sqrt(2.0),
 
 def escape_trace(case: str, aj: tuple) -> float:
     pre = _prefix(case, ESCAPE_PREFIX).to_float()
-    return su2.trace(su2.quat_mul(pre, aj))
+    return su2.trace_mul(pre, aj)
 
 
 def escape_handle_ok(case: str, aj: tuple) -> bool:

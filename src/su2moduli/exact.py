@@ -210,10 +210,17 @@ class ExactQuaternion:
 
 EXACT_IDENTITY = ExactQuaternion.of(1, 0, 0, 0)
 
+
+def _trace_mul(g: ExactQuaternion, h: ExactQuaternion) -> float:
+    """float((g * h).trace()) from the scalar part of g h alone."""
+    w = g.w * h.w - g.x * h.x - g.y * h.y - g.z * h.z
+    return float(w + w)
+
+
 #: exact walks never drift off unit norm, so renormalization is the identity
 EXACT_ARITHMETIC = su2.Arithmetic(operator.mul, ExactQuaternion.inverse,
                                   lambda g: g, lambda g: float(g.trace()),
-                                  ExactQuaternion.key)
+                                  _trace_mul, ExactQuaternion.key)
 
 
 def arithmetic_of(g) -> su2.Arithmetic:

@@ -11,6 +11,7 @@ import bisect
 import csv
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,7 @@ from .su2 import (
     random_su2,
     run_word,
     trace,
+    trace_mul,
     word,
 )
 
@@ -164,7 +166,7 @@ def find_generic_handle(rep: SurfaceRep) -> HandleSearch:
         P = normalize(evaluate_word(rep.images, w1))
         Q = normalize(evaluate_word(rep.images, w2))
         if one_holed_genericity_shortcut(trace(P), trace(Q),
-                                         trace(quat_mul(P, Q))):
+                                         trace_mul(P, Q)):
             return HandleSearch(words=(w1, w2), images=(P, Q), trail=trail)
         verdict = classify_subgroup([P, Q])
         if verdict.is_dense:
@@ -359,9 +361,7 @@ class OrbitSample:
     def word_stats(self) -> dict:
         flat = (itertools.chain.from_iterable(self.steps)
                 if self.strategy == "bfs" else self.steps)
-        counts: dict = {}
-        for s in flat:
-            counts[s] = counts.get(s, 0) + 1
+        counts = Counter(flat)
         return {"letters": counts, "total": sum(counts.values())}
 
     def to_csv(self, path) -> None:
@@ -428,41 +428,52 @@ def orbit_sample(rep, chart: str, twists=None, strategy: str = "random",
 
     per = [budget // shards] * shards
     per[0] += budget - sum(per)
-    points = np.empty((budget, len(ch.names)))
-    steps: list = []
-    shard_rows: list = []
-    # exact states revisit themselves on finite orbits; memoize transitions,
-    # interning states as small ints so the hot loop never hashes deep keys
-    ids: dict = {}
-    cache: dict = {}
+    shard_rows = tuple(itertools.accumulate(per[:-1], initial=0))
+    walks = [_merge_seed(seed, shard).integers(0, len(letters), size=quota - 1).tolist()
+             for shard, quota in enumerate(per)]
+    steps = [letters[i] for picks in walks for i in picks]
+    if q.key is not None:
+        points = _exact_walk_points(start, walks, letters, ch, q)
+    else:
+        points = np.empty((budget, len(ch.names)))
+        p0 = ch.coords(start, q)
+        for r0, picks in zip(shard_rows, walks):
+            points[r0] = p0
+            walk = (letters[i] for i in picks)
+            for r, state in enumerate(run_word(start, walk, ch.moves, q), r0 + 1):
+                points[r] = ch.coords(state, q)
+    return OrbitSample(chart, points, steps, "random", seed, meta, shard_rows)
 
-    def intern(st):
-        return ids.setdefault(tuple(map(q.key, st)), len(ids))
 
-    row = 0
-    for shard, quota in enumerate(per):
-        rng = _merge_seed(seed, shard)
-        picks = rng.integers(0, len(letters), size=max(quota - 1, 0))
-        walk = [letters[i] for i in picks]
-        shard_rows.append(row)
-        points[row] = ch.coords(start, q)
-        row += 1
-        if q.key is None:
-            for state in run_word(start, walk, ch.moves, q):
-                points[row] = ch.coords(state, q)
-                row += 1
-        else:
-            state, sid = start, intern(start)
-            for s in walk:
-                nxt = cache.get((sid, s))
-                if nxt is None:
-                    state, = run_word(state, (s,), ch.moves, q)
-                    nxt = cache[(sid, s)] = (state, ch.coords(state, q), intern(state))
-                state, p0, sid = nxt
-                points[row] = p0
-                row += 1
-        steps += walk
-    return OrbitSample(chart, points, steps, "random", seed, meta, tuple(shard_rows))
+def _exact_walk_points(start, walks, letters, ch: _Chart, q) -> np.ndarray:
+    """Chart points of exact walks from start, one walk of letter indices
+    per shard, each row the start and then the state after each letter.
+
+    Exact states revisit themselves on finite orbits, so the distinct states
+    are numbered as they appear, with their coordinates computed once, and
+    table[sid][i] (filled on first use) is the state after letter i from
+    state sid; the walk itself records one state id per row.
+    """
+    states, coords = [start], [ch.coords(start, q)]
+    ids = {tuple(map(q.key, start)): 0}
+    table: list = [[None] * len(letters)]
+    rows: list = []
+    for picks in walks:
+        sid = 0
+        rows.append(sid)
+        for i in picks:
+            nxt = table[sid][i]
+            if nxt is None:
+                state, = run_word(states[sid], (letters[i],), ch.moves, q)
+                nxt = ids.setdefault(tuple(map(q.key, state)), len(states))
+                if nxt == len(states):
+                    states.append(state)
+                    coords.append(ch.coords(state, q))
+                    table.append([None] * len(letters))
+                table[sid][i] = nxt
+            sid = nxt
+            rows.append(sid)
+    return np.array(coords)[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +541,10 @@ def density_report(sample: OrbitSample, region, eps: float,
     dim = len(region)
     nb = [max(1, math.ceil((hi - lo) / eps)) for lo, hi in region]
     pitch = tuple((hi - lo) / n for (lo, hi), n in zip(region, nb))
+    # each sample's eps-box is coded below as one int64, (n+1)^2 values per axis
+    if math.prod((n + 1) ** 2 for n in nb) >= 2 ** 63:
+        raise ValueError(f"eps {eps} is too fine for this region "
+                         f"({math.prod(nb)} cells)")
 
     if surface is None:
         on = np.ones(nb, dtype=bool)
@@ -549,13 +564,25 @@ def density_report(sample: OrbitSample, region, eps: float,
     if total == 0:
         raise ValueError("no on-surface cells in the region")
 
-    # cells whose center is inside the eps-box around some sample
+    # cells whose center is inside the eps-box around some sample: the cell
+    # index ranges ilo..ihi per axis, clipped to the grid, and empty
+    # (ilo > ihi) on an axis where the sample lies more than eps outside
     lo = np.array([b[0] for b in region])
     ph = np.array(pitch)
-    ilo = np.ceil((pts - eps - lo) / ph - 0.5).astype(np.int64)
-    ihi = np.floor((pts + eps - lo) / ph - 0.5).astype(np.int64)
-    ilo = np.clip(ilo, 0, np.array(nb) - 1)
-    ihi = np.clip(ihi, -1, np.array(nb) - 1)
+    top = np.array(nb)
+
+    def box(p, d=slice(None)):
+        ilo = np.ceil((p - eps - lo[d]) / ph[d] - 0.5).astype(np.int64)
+        ihi = np.floor((p + eps - lo[d]) / ph[d] - 0.5).astype(np.int64)
+        return np.clip(ilo, 0, top[d]), np.clip(ihi, -1, top[d] - 1)
+
+    # many samples share a box: code each box as one integer, one axis at a
+    # time, and mark the cells of one representative per distinct box
+    code = np.zeros(len(pts), dtype=np.int64)
+    for d, n in enumerate(nb):
+        ilo, ihi = box(pts[:, d], d)
+        code = code * (n + 1) ** 2 + (ilo * (n + 1) + ihi + 1)
+    ilo, ihi = box(pts[np.unique(code, return_index=True)[1]])
     covered = np.zeros(nb, dtype=bool)
     span = (ihi - ilo).max(axis=0)
     for off in itertools.product(*[range(int(s) + 1) for s in span]):

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .su2 import Quaternion, quat_mul, trace
+from .su2 import Quaternion, trace, trace_mul
 
 #: crude box-metric bound on the circumference of any fibre ellipse in [-2,2]^3
 L_MAX = 16.0
@@ -159,7 +159,7 @@ MOVES = {
 
 def coords_of_rep4(rep: Rep4) -> T4Point:
     A, B, C, _ = rep
-    return (trace(quat_mul(A, B)), trace(quat_mul(B, C)), trace(quat_mul(C, A)))
+    return (trace_mul(A, B), trace_mul(B, C), trace_mul(C, A))
 
 
 def kappa_of_rep4(rep: Rep4) -> Kappa4:

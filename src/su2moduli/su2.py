@@ -57,6 +57,13 @@ def trace(a: Quaternion) -> float:
     return 2.0 * a[0]
 
 
+def trace_mul(a: Quaternion, b: Quaternion) -> float:
+    """trace(quat_mul(a, b)), bit for bit, without the vector part."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return 2.0 * (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2)
+
+
 def to_matrix(a: Quaternion) -> np.ndarray:
     w, x, y, z = a
     return np.array([[w + x * 1j, y + z * 1j], [-y + z * 1j, w - x * 1j]])
@@ -101,14 +108,17 @@ class Arithmetic(NamedTuple):
     """The quaternion operations of one walk, chosen once per walk.
 
     `unit` renormalizes (the identity on exact quaternions), `trace` returns
-    a float, and `key` maps an exact quaternion to a hashable key for
-    memoized walks; it is None for floats, whose walks are not memoized.
+    a float, `trace_mul(g, h)` returns the float trace of g h without
+    forming the product, and `key` maps an exact quaternion to a hashable
+    key for memoized walks; it is None for floats, whose walks are not
+    memoized.
     """
 
     mul: Callable
     inv: Callable
     unit: Callable
     trace: Callable
+    trace_mul: Callable
     key: Optional[Callable]
 
     def conj(self, g, h):
@@ -126,7 +136,7 @@ class Arithmetic(NamedTuple):
 def float_arithmetic() -> Arithmetic:
     """Float arithmetic, built from this module's functions at call time,
     so that wrappers installed on them (as by a tracer) are called."""
-    return Arithmetic(quat_mul, quat_inv, normalize, trace, None)
+    return Arithmetic(quat_mul, quat_inv, normalize, trace, trace_mul, None)
 
 
 def run_word(state: tuple, word, moves: dict, q: Arithmetic, start: int = 0):

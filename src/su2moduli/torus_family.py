@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 from . import su2, torus_one
-from .su2 import Quaternion, quat_inv, quat_mul, trace
+from .su2 import Quaternion, quat_inv, quat_mul, trace, trace_mul
 from .classify import classify_subgroup, one_holed_genericity_shortcut
 from .sphere_four import delta_inband, trace_interval
 from .tolerances import DEFAULT, Tolerances
@@ -125,12 +125,10 @@ class T2Rep(NamedTuple):
 def coords_of_rep_t2(rep) -> T2Point:
     """Chart point of a T2Rep or of any tuple (X, Y, A, B)."""
     X, Y, A, B = rep
-    K = quat_mul(A, B)
     return T2Point(
         a=trace(A), b=trace(B),
-        x=trace(X), y=trace(Y), k=trace(K),
-        w=trace(quat_mul(A, X)),
-        wp=trace(quat_mul(X, B)),
+        x=trace(X), y=trace(Y), k=trace_mul(A, B),
+        w=trace_mul(A, X), wp=trace_mul(X, B),
     )
 
 
@@ -290,8 +288,10 @@ def steer_t2(rep: T2Rep, targets: tuple, eps: float, budget: int,
     p = coords_of_rep_t2(rep)
     if abs(abs(p.a) - 2.0) < 1e-9 or abs(abs(p.b) - 2.0) < 1e-9:
         raise ValueError("boundary traces must avoid +-2")
-    verdict = classify_subgroup([rep.X, rep.Y])
-    if not verdict.is_dense:
+    # the trace-level shortcut can only confirm density; the full
+    # classification decides the rest
+    if not (one_holed_genericity_shortcut(p.x, p.y, trace_mul(rep.X, rep.Y))
+            or classify_subgroup([rep.X, rep.Y]).is_dense):
         raise ValueError("handle <X, Y> is not generic")
     lo, hi = trace_interval(p.a, p.b)
     if not (lo - 1e-9 <= k0 <= hi + 1e-9):
@@ -345,7 +345,7 @@ def steer_t2(rep: T2Rep, targets: tuple, eps: float, budget: int,
     if abs(final.x - x0) >= eps or abs(final.k - k0) >= eps:
         raise SteerFailure("steer_t2 post-verification failed", budget)
     if not one_holed_genericity_shortcut(final.x, final.y,
-                                         trace(quat_mul(rep.X, rep.Y))):
+                                         trace_mul(rep.X, rep.Y)):
         raise SteerFailure("steer_t2 final handle not verifiably generic",
                            budget)
     return word, rep

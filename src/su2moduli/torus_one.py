@@ -69,8 +69,7 @@ def coords_of_matrices(X: Quaternion, Y: Quaternion,
     """(tr X, tr Y, tr XY) as floats; q is the arithmetic of X and Y
     (float when omitted)."""
     q = q or su2.float_arithmetic()
-    tr = q.trace
-    return (tr(X), tr(Y), tr(q.mul(X, Y)))
+    return (q.trace(X), q.trace(Y), q.trace_mul(X, Y))
 
 
 def in_special_set(k: float, tol: float = DEFAULT.identity) -> bool:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from su2moduli import su2
 from su2moduli.exact import (
+    EXACT_ARITHMETIC,
     EXACT_IDENTITY,
     HALF,
     ONE,
@@ -191,3 +192,14 @@ def test_field_operations_with_integers(a, n):
     _agree(x + n, ra + rn)
     _agree(n - x, rn - ra)
     _agree(x - n, ra - rn)
+
+
+@pytest.mark.parametrize("handle", ["T", "C", "D1"])
+def test_exact_trace_mul_is_float_of_exact_trace(handle):
+    from su2moduli.appendix import GENERATORS
+    from su2moduli.classify import finite_closure
+
+    elems = finite_closure(list(GENERATORS[handle])).elements
+    for g in elems:
+        for h in elems:
+            assert EXACT_ARITHMETIC.trace_mul(g, h) == float((g * h).trace())

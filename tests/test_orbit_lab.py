@@ -276,3 +276,110 @@ def test_density_report_as_dict_round_trips_json():
                     steps=[], strategy="random", seed=0, meta={"k": 0.0})
     r = density_report(s, [(-1, 1)] * 3, eps=0.5, surface=None)
     assert json.loads(json.dumps(r.as_dict()))["total_cells"] == r.total_cells
+
+
+def _sample(pts) -> OrbitSample:
+    return OrbitSample(chart="t1", points=np.asarray(pts, dtype=float),
+                       steps=[], strategy="random", seed=0, meta={"k": 0.0})
+
+
+def _hit_cells_reference(pts, region, eps) -> int:
+    """Cells (all of them: surface=None) whose center lies within eps of
+    some point in the box metric, point by point and cell by cell."""
+    nb = [max(1, math.ceil((hi - lo) / eps)) for lo, hi in region]
+    centers = np.stack(np.meshgrid(*[
+        lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
+        for (lo, hi), n in zip(region, nb)], indexing="ij"), axis=-1)
+    covered = np.zeros(nb, dtype=bool)
+    for p in pts:
+        covered |= np.all(np.abs(centers - p) <= eps, axis=-1)
+    return int(covered.sum())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_density_matches_brute_force_reference(seed):
+    # eps 0.3 does not divide [-2, 2]; some points lie outside the region,
+    # some more than eps outside.  Random points avoid eps-ties, where the
+    # rounding of non-dyadic values may decide either way.
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-2.6, 2.6, size=(300, 3))
+    pts[:100] = pts[100:200] + rng.uniform(-1e-3, 1e-3, size=(100, 3))
+    pts[:20] = pts[200:220]             # repeated boxes
+    region = [(-2.0, 2.0)] * 3
+    r = density_report(_sample(pts), region, eps=0.3, surface=None)
+    assert r.hit_cells == _hit_cells_reference(pts, region, 0.3)
+
+
+def test_density_eps_ties_match_brute_force_reference():
+    # eps 0.25 on [-2, 2]: cell centers -1.875 + 0.25 i, and points on the
+    # dyadic grid of step 1/8 sit exactly eps from centers
+    rng = np.random.default_rng(7)
+    pts = rng.integers(-20, 21, size=(200, 3)) / 8.0
+    region = [(-2.0, 2.0), (-2.0, 2.0), (-1.0, 1.5)]
+    for eps in (0.25, 0.125, 0.5):
+        r = density_report(_sample(pts), region, eps=eps, surface=None)
+        assert r.hit_cells == _hit_cells_reference(pts, region, eps), eps
+
+
+def test_density_point_beyond_upper_edge_marks_nothing():
+    # more than eps outside on either side: no cell is within eps
+    region = [(-1.0, 1.0)] * 3
+    for p in ((1.9, 1.9, 1.9), (-1.9, -1.9, -1.9), (0.0, 1.2, 0.0)):
+        r = density_report(_sample([p]), region, eps=0.1, surface=None)
+        assert (r.hit_cells, r.total_cells) == (0, 8000), p
+    r = density_report(_sample([(0.0, 1.05, 0.0)]), region, eps=0.1,
+                       surface=None)
+    assert r.hit_cells == _hit_cells_reference([(0.0, 1.05, 0.0)], region, 0.1) > 0
+
+
+def test_density_rejects_a_grid_too_fine_to_code():
+    with pytest.raises(ValueError, match="too fine"):
+        density_report(OrbitSample(chart="t2", points=np.zeros((1, 7)),
+                                   steps=[], strategy="random", seed=0),
+                       [(-2.0, 2.0)] * 7, eps=0.01, surface=None)
+
+
+def test_word_stats_is_a_counter_in_first_seen_order():
+    from collections import Counter
+
+    s = orbit_sample(t1_rep(np.random.default_rng(4)), "t1", budget=50, seed=3)
+    stats = s.word_stats()
+    assert isinstance(stats["letters"], Counter)
+    first_seen = list(dict.fromkeys(s.steps))
+    assert list(stats["letters"]) == first_seen
+    assert stats["total"] == 49 == sum(stats["letters"].values())
+
+
+def _exact_walk_reference(start, letters, budget, seed, shards):
+    """orbit_sample's exact random walk, one exact step per letter."""
+    from su2moduli.exact import EXACT_ARITHMETIC as q
+    from su2moduli.orbit_lab import _merge_seed
+    from su2moduli.torus_one import MOVES, coords_of_matrices
+
+    per = [budget // shards] * shards
+    per[0] += budget - sum(per)
+    points, steps = [], []
+    for shard, quota in enumerate(per):
+        picks = _merge_seed(seed, shard).integers(0, len(letters), size=quota - 1)
+        state = start
+        points.append(coords_of_matrices(*state, q))
+        for i in picks:
+            state = MOVES[letters[i]](state, q)
+            points.append(coords_of_matrices(*state, q))
+            steps.append(letters[i])
+    return np.array(points), steps
+
+
+@pytest.mark.parametrize("handle", ["T", "D1"])
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_exact_walk_matches_step_by_step_reference(handle, shards):
+    from su2moduli.appendix import GENERATORS
+
+    start = tuple(GENERATORS[handle])
+    for twists in (None, ("Y", "X'")):
+        s = orbit_sample(start, "t1", twists=twists, budget=301, seed=5,
+                         shards=shards)
+        letters = twists or ("X", "X'", "Y", "Y'")
+        ref, steps = _exact_walk_reference(start, letters, 301, 5, shards)
+        assert np.array_equal(s.points, ref)
+        assert s.steps == steps

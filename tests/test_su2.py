@@ -1,5 +1,6 @@
 """Quaternion/SU(2) core: products, traces, words, surface reps."""
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -147,3 +148,16 @@ def test_evaluate_relation_word_is_identity():
 def test_normalize():
     q = tuple(3.0 * c for c in rand_q())
     assert norm(normalize(q)) == pytest.approx(1.0, abs=1e-15)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+QUATS = st.tuples(FINITE, FINITE, FINITE, FINITE)
+
+
+@given(QUATS, QUATS)
+@settings(max_examples=300, deadline=None)
+def test_trace_mul_is_trace_of_product_bit_for_bit(a, b):
+    # overflow may give inf or nan; both sides must give the same bits
+    assert struct.pack("<d", su2.trace_mul(a, b)) == \
+        struct.pack("<d", trace(quat_mul(a, b)))
+    assert su2.float_arithmetic().trace_mul is su2.trace_mul
