@@ -257,9 +257,13 @@ def random_genus2_rep(rng, max_tries: int = 1000) -> SurfaceRep:
 # ---------------------------------------------------------------------------
 
 def _leading_images(n: int):
-    """rep -> state: the first n images of a SurfaceRep, or the given tuple."""
-    return lambda rep: (tuple(rep.images[:n]) if isinstance(rep, SurfaceRep)
-                        else tuple(rep))
+    """rep -> the first n images of a SurfaceRep or of a tuple of images."""
+    def lead(rep):
+        images = tuple((rep.images if isinstance(rep, SurfaceRep) else rep)[:n])
+        if len(images) < n:
+            raise ValueError(f"need {n} generator images, got {len(images)}")
+        return images
+    return lead
 
 
 def _t2_state(rep):
@@ -272,7 +276,7 @@ def _t2_state(rep):
 
 
 def _t2_coords(rep, q):
-    p = torus_family.coords_of_rep_t2(rep)
+    p = torus_family.coords_of_rep_t2(rep, q)
     return (p.a, p.b, p.x, p.y, p.k, p.w, p.wp)
 
 
@@ -282,25 +286,30 @@ class _Chart:
     names: tuple
     init: object       # rep -> state, a tuple of quaternions
     coords: object     # (state, arithmetic) -> chart point
-    meta: object       # (state, arithmetic) -> dict of orbit invariants
+    meta: object       # (rep, arithmetic) -> dict of orbit invariants
     residual: object   # (chart point, meta) -> chart-equation residual
 
+
+_handle = _leading_images(2)
+_sphere = _leading_images(4)
 
 _CHARTS = {
     "t1": _Chart(
         moves=torus_one.MOVES,
         names=("x", "y", "z"),
-        init=_leading_images(2),
+        init=_handle,
         coords=lambda s, q: torus_one.coords_of_matrices(s[0], s[1], q),
-        meta=lambda s, q: {"k": torus_one.k_of(torus_one.coords_of_matrices(*s, q))},
+        meta=lambda rep, q: {"k": torus_one.k_of(
+            torus_one.coords_of_matrices(*_handle(rep), q))},
         residual=lambda p, m: abs(torus_one.k_of(p) - m["k"]),
     ),
     "s4": _Chart(
         moves=sphere_four.MOVES,
         names=("x", "y", "z"),
-        init=_leading_images(4),
-        coords=lambda s, q: coords_of_rep4(s),
-        meta=lambda s, q: {"kappa": kappa_of_rep4(s)},
+        # the walk carries (A, B, C); d = tr D enters through kappa only
+        init=_leading_images(3),
+        coords=coords_of_rep4,
+        meta=lambda rep, q: {"kappa": kappa_of_rep4(_sphere(rep), q)},
         residual=lambda p, m: abs(e_kappa_residual(m["kappa"], p)),
     ),
     "t2": _Chart(
@@ -308,7 +317,7 @@ _CHARTS = {
         names=("a", "b", "x", "y", "k", "w", "wp"),
         init=_t2_state,
         coords=_t2_coords,
-        meta=lambda s, q: {},
+        meta=lambda rep, q: {},
         residual=lambda p, m: abs(torus_family.t2_residual(
             torus_family.T2Point(*p))),
     ),
@@ -388,7 +397,10 @@ def orbit_sample(rep, chart: str, twists=None, strategy: str = "random",
     "bfs": all words in breadth-first order until the budget is reached.
     Deterministic per (seed, shards); shards split the walk into budget/shards
     independent sub-walks from the same start, merged in shard order.
-    Exact (ExactQuaternion) states are walked exactly.
+    Exact (ExactQuaternion) states are walked exactly on every chart: moves,
+    chart points and orbit invariants run in the arithmetic of the images.
+    An s4 rep gives its four images (A, B, C, D); the walk carries (A, B, C),
+    and D enters only through kappa.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -404,7 +416,7 @@ def orbit_sample(rep, chart: str, twists=None, strategy: str = "random",
             raise ValueError(f"twist {s!r} invalid for chart {chart!r}")
     start = ch.init(rep)
     q = arithmetic_of(start[0])
-    meta = ch.meta(start, q)
+    meta = ch.meta(rep, q)
 
     if strategy == "bfs":
         # every node is renormalized: it is one letter past its parent

@@ -19,6 +19,11 @@ forms above vanish identically on matrix-generated characters.)
 
 The twist tau_X rotates each fibre rigidly by 2*arccos(x/2); matrix-level
 conventions are in the move table MOVES below.
+
+The twists fix the boundary, so a walk carries the state (A, B, C) only:
+D = (ABC)^-1 is determined by the relation, no twist of A, B or C reads
+it, and its class enters only through d = tr D in kappa, which is read
+once from the four input images (kappa_of_rep4).
 """
 from __future__ import annotations
 
@@ -28,7 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .su2 import Quaternion, trace, trace_mul
+from . import su2
+from .su2 import Quaternion
 
 #: crude box-metric bound on the circumference of any fibre ellipse in [-2,2]^3
 L_MAX = 16.0
@@ -124,32 +130,33 @@ def tau_z4_inv(kappa: Kappa4, p: T4Point) -> T4Point:
 
 
 # ---------------------------------------------------------------------------
-# matrix-level twists; (A, B, C, D) with ABCD = I
+# matrix-level twists of the state (A, B, C); D = (ABC)^-1 is not carried
 # ---------------------------------------------------------------------------
 
+#: images (A, B, C, D) with ABCD = I, as read from a representation
 Rep4 = tuple[Quaternion, Quaternion, Quaternion, Quaternion]
+#: the walk state (A, B, C); the twists move D = (ABC)^-1 only within its
+#: conjugacy class, so d = tr D stays the one of the input
+State4 = tuple[Quaternion, Quaternion, Quaternion]
 
 
-def _twist_x4(s: Rep4, q, e: int) -> Rep4:
-    A, B, C, D = s
-    X = q.pivot(q.mul(A, B), e)
-    return (A, B, q.conj(X, C), q.conj(X, D))
+def _twist_x4(s: State4, q, e: int) -> State4:
+    A, B, C = s
+    return (A, B, q.conj(q.pivot(q.mul(A, B), e), C))
 
 
-def _twist_y4(s: Rep4, q, e: int) -> Rep4:
-    A, B, C, D = s
-    Y = q.pivot(q.mul(B, C), e)
-    return (q.conj(Y, A), B, C, q.conj(Y, D))
+def _twist_y4(s: State4, q, e: int) -> State4:
+    A, B, C = s
+    return (q.conj(q.pivot(q.mul(B, C), e), A), B, C)
 
 
-def _twist_z4(s: Rep4, q, e: int) -> Rep4:
-    A, B, C, D = s
-    return (A, q.conj(q.pivot(q.mul(C, A), e), B), C,
-            q.conj(q.pivot(q.mul(A, C), e), D))
+def _twist_z4(s: State4, q, e: int) -> State4:
+    A, B, C = s
+    return (A, q.conj(q.pivot(q.mul(C, A), e), B), C)
 
 
-#: matrix-level twists in the walk's arithmetic q; a primed letter is the
-#: inverse twist
+#: matrix-level twists of (A, B, C) in the walk's arithmetic q; a primed
+#: letter is the inverse twist
 MOVES = {
     "X": lambda s, q: _twist_x4(s, q, 1), "X'": lambda s, q: _twist_x4(s, q, -1),
     "Y": lambda s, q: _twist_y4(s, q, 1), "Y'": lambda s, q: _twist_y4(s, q, -1),
@@ -157,13 +164,20 @@ MOVES = {
 }
 
 
-def coords_of_rep4(rep: Rep4) -> T4Point:
-    A, B, C, _ = rep
-    return (trace_mul(A, B), trace_mul(B, C), trace_mul(C, A))
+def coords_of_rep4(s: State4, q: su2.Arithmetic | None = None) -> T4Point:
+    """(tr AB, tr BC, tr CA) of the state (A, B, C) as floats; q is the
+    arithmetic of the images (float when omitted)."""
+    q = q or su2.float_arithmetic()
+    A, B, C = s
+    return (q.trace_mul(A, B), q.trace_mul(B, C), q.trace_mul(C, A))
 
 
-def kappa_of_rep4(rep: Rep4) -> Kappa4:
-    return Kappa4(*(trace(g) for g in rep))
+def kappa_of_rep4(rep: Rep4, q: su2.Arithmetic | None = None) -> Kappa4:
+    """The boundary traces of the four images (A, B, C, D); q is their
+    arithmetic (float when omitted)."""
+    q = q or su2.float_arithmetic()
+    A, B, C, D = rep
+    return Kappa4(q.trace(A), q.trace(B), q.trace(C), q.trace(D))
 
 
 # ---------------------------------------------------------------------------

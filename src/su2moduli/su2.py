@@ -89,7 +89,8 @@ def from_axis_angle(n: Sequence[float], theta: float) -> Quaternion:
 
 
 def random_su2(rng) -> Quaternion:
-    """Haar-uniform SU(2) element. `rng` is a numpy Generator or an int seed."""
+    """Haar-uniform SU(2) element with Python float components (walks on
+    numpy scalars run slower).  `rng` is a numpy Generator or an int seed."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     v = rng.normal(size=4)
@@ -97,7 +98,8 @@ def random_su2(rng) -> Quaternion:
     while n < 1e-12:  # pragma: no cover - probability zero
         v = rng.normal(size=4)
         n = float(np.linalg.norm(v))
-    return (v[0] / n, v[1] / n, v[2] / n, v[3] / n)
+    w, x, y, z = v.tolist()
+    return (w / n, x / n, y / n, z / n)
 
 
 # ---------------------------------------------------------------------------

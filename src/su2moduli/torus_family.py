@@ -122,13 +122,16 @@ class T2Rep(NamedTuple):
         return self
 
 
-def coords_of_rep_t2(rep) -> T2Point:
-    """Chart point of a T2Rep or of any tuple (X, Y, A, B)."""
+def coords_of_rep_t2(rep, q: su2.Arithmetic | None = None) -> T2Point:
+    """Chart point of a T2Rep or of any tuple (X, Y, A, B), as floats; q is
+    the arithmetic of the images (float when omitted)."""
     X, Y, A, B = rep
+    # floats skip building an Arithmetic: steer_t2 calls this per scanned twist
+    tr, tr_mul = (trace, trace_mul) if q is None else (q.trace, q.trace_mul)
     return T2Point(
-        a=trace(A), b=trace(B),
-        x=trace(X), y=trace(Y), k=trace_mul(A, B),
-        w=trace_mul(A, X), wp=trace_mul(X, B),
+        a=tr(A), b=tr(B),
+        x=tr(X), y=tr(Y), k=tr_mul(A, B),
+        w=tr_mul(A, X), wp=tr_mul(X, B),
     )
 
 

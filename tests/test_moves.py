@@ -30,6 +30,7 @@ def t1_reps(seed):
 
 
 def s4_reps(seed):
+    """(A, B, C, D) with ABCD = I; a walk state is the leading (A, B, C)."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(N_REPS):
@@ -99,8 +100,8 @@ def test_t1_exact_move_matches_float_move(handle, letter):
 
 @pytest.mark.parametrize("letter", list(sphere_four.MOVES))
 def test_s4_move_matches_coordinate_map(letter):
-    for s in s4_reps(3):
-        kappa = sphere_four.kappa_of_rep4(s)
+    for rep in s4_reps(3):
+        kappa, s = sphere_four.kappa_of_rep4(rep), rep[:3]
         got = sphere_four.coords_of_rep4(sphere_four.MOVES[letter](s, Q))
         want = S4_TAU[letter](kappa, sphere_four.coords_of_rep4(s))
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-10
@@ -109,7 +110,8 @@ def test_s4_move_matches_coordinate_map(letter):
 @pytest.mark.parametrize("letter", list(sphere_four.MOVES))
 def test_s4_move_then_inverse_is_identity(letter):
     moves = sphere_four.MOVES
-    for s in s4_reps(4):
+    for rep in s4_reps(4):
+        s = rep[:3]
         assert gap(moves[inverse(letter)](moves[letter](s, Q), Q), s) < 1e-13
 
 

@@ -157,6 +157,22 @@ def test_orbit_t2_chart_residual():
     assert worst < 1e-6
 
 
+def test_orbit_t2_exact_walk_matches_float_walk():
+    from su2moduli.appendix import GENERATORS
+    from su2moduli.torus_family import T2Rep
+
+    X, Y = GENERATORS["T"]
+    K = (Y * X) * (Y.inverse() * X.inverse())
+    exact = T2Rep(X=X, Y=Y, A=X, B=X.inverse() * K)
+    flt = T2Rep(*(g.to_float() for g in exact))
+    se = orbit_sample(exact, "t2", budget=300, seed=4)
+    sf = orbit_sample(flt, "t2", budget=300, seed=4)
+    # every image lies in the binary tetrahedral group
+    values = np.array([0.0, 1.0, -1.0, 2.0, -2.0])
+    assert np.abs(se.points[..., None] - values).min(axis=-1).max() < 1e-12
+    assert np.abs(se.points[:20] - sf.points[:20]).max() < 1e-12
+
+
 def test_orbit_determinism_and_seed_sensitivity():
     rep = t1_rep(np.random.default_rng(4))
     a = orbit_sample(rep, "t1", budget=300, seed=12)

@@ -88,6 +88,11 @@ def test_random_su2_unit_norm():
         assert norm(rand_q()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_random_su2_components_are_python_floats():
+    for seed in (RNG, 3, np.int64(4)):
+        assert all(type(c) is float for c in random_su2(seed))
+
+
 @given(st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=20, deadline=None)
 def test_presentation_generator_count(g, n):
